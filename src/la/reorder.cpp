@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 #include "common/error.h"
 
@@ -65,15 +66,32 @@ CsrMatrix permute_symmetric(const CsrMatrix& a,
     inverse[perm[i]] = i;
   }
 
-  CooBuilder builder(n);
-  for (std::size_t old_row = 0; old_row < n; ++old_row) {
-    const std::size_t new_row = inverse[old_row];
-    for (std::size_t k = a.row_ptr()[old_row]; k < a.row_ptr()[old_row + 1];
+  // Row gather: new row i is old row perm[i] with its columns renumbered
+  // and re-sorted.  The input has one entry per (row, col), so nothing is
+  // summed and the result is exact.
+  std::vector<std::size_t> row_ptr(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    row_ptr[i + 1] =
+        row_ptr[i] + (a.row_ptr()[perm[i] + 1] - a.row_ptr()[perm[i]]);
+  }
+  std::vector<std::size_t> col_idx(a.nnz());
+  std::vector<double> values(a.nnz());
+  std::vector<std::pair<std::size_t, double>> row;
+  for (std::size_t i = 0; i < n; ++i) {
+    row.clear();
+    for (std::size_t k = a.row_ptr()[perm[i]]; k < a.row_ptr()[perm[i] + 1];
          ++k) {
-      builder.add(new_row, inverse[a.col_idx()[k]], a.values()[k]);
+      row.emplace_back(inverse[a.col_idx()[k]], a.values()[k]);
+    }
+    std::sort(row.begin(), row.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      col_idx[row_ptr[i] + k] = row[k].first;
+      values[row_ptr[i] + k] = row[k].second;
     }
   }
-  return builder.build();
+  return CsrMatrix(n, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
 }
 
 std::size_t half_bandwidth(const CsrMatrix& a) {

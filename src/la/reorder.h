@@ -15,7 +15,8 @@ namespace vstack::la {
 std::vector<std::size_t> reverse_cuthill_mckee(const CsrMatrix& a);
 
 /// Apply a symmetric permutation: B = P A P^T with
-/// B(i, j) = A(perm[i], perm[j]).
+/// B(i, j) = A(perm[i], perm[j]).  O(nnz) row gather; every entry is
+/// copied, none summed, so B holds exactly A's values.
 CsrMatrix permute_symmetric(const CsrMatrix& a,
                             const std::vector<std::size_t>& perm);
 

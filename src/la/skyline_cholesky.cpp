@@ -1,6 +1,7 @@
 #include "la/skyline_cholesky.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 
@@ -86,14 +87,13 @@ Vector SkylineCholesky::solve(const Vector& b) const {
   return y;
 }
 
-ReorderedCholesky::ReorderedCholesky(const CsrMatrix& a) {
-  bw_before_ = half_bandwidth(a);
-  perm_ = reverse_cuthill_mckee(a);
-  inverse_.assign(perm_.size(), 0);
-  for (std::size_t i = 0; i < perm_.size(); ++i) inverse_[perm_[i]] = i;
-  const CsrMatrix permuted = permute_symmetric(a, perm_);
-  bw_after_ = half_bandwidth(permuted);
-  factor_ = std::make_unique<SkylineCholesky>(permuted);
+ReorderedCholesky::ReorderedCholesky(const CsrMatrix& a)
+    : ReorderedCholesky(a, reverse_cuthill_mckee(a)) {}
+
+ReorderedCholesky::ReorderedCholesky(const CsrMatrix& a,
+                                     std::vector<std::size_t> perm)
+    : perm_(std::move(perm)),
+      factor_(std::make_unique<SkylineCholesky>(permute_symmetric(a, perm_))) {
 }
 
 Vector ReorderedCholesky::solve(const Vector& b) const {

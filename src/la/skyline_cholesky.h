@@ -44,18 +44,18 @@ class ReorderedCholesky {
  public:
   explicit ReorderedCholesky(const CsrMatrix& a);
 
+  /// Factor under a caller-supplied ordering (perm[new] = old).  The RCM
+  /// ordering depends only on the sparsity pattern, so callers factoring
+  /// many matrices of one pattern compute it once and pass it here.
+  ReorderedCholesky(const CsrMatrix& a, std::vector<std::size_t> perm);
+
   Vector solve(const Vector& b) const;
 
   std::size_t envelope_size() const { return factor_->envelope_size(); }
-  std::size_t bandwidth_before() const { return bw_before_; }
-  std::size_t bandwidth_after() const { return bw_after_; }
 
  private:
-  std::vector<std::size_t> perm_;     // new -> old
-  std::vector<std::size_t> inverse_;  // old -> new
+  std::vector<std::size_t> perm_;  // new -> old
   std::unique_ptr<SkylineCholesky> factor_;
-  std::size_t bw_before_ = 0;
-  std::size_t bw_after_ = 0;
 };
 
 }  // namespace vstack::la

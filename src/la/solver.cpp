@@ -32,6 +32,12 @@ const telemetry::Counter t_binds("la.solver.binds");
 const telemetry::Counter t_solves_reference("la.solver.solves.reference");
 const telemetry::Counter t_solves_optimized("la.solver.solves.optimized");
 
+/// One solve on `backend`: every solve() and every iterate_once() call.
+void count_solve(const Backend& backend) {
+  (&backend == &optimized_backend() ? t_solves_optimized : t_solves_reference)
+      .add();
+}
+
 bool all_finite(const Vector& v) {
   for (const double d : v) {
     if (!std::isfinite(d)) return false;
@@ -209,8 +215,7 @@ SolveReport Solver::solve(const Vector& b, Vector& x,
                           const IterativeOptions& iterative) {
   VS_SPAN("la.solve");
   t_calls.add();
-  (backend_ == &optimized_backend() ? t_solves_optimized : t_solves_reference)
-      .add();
+  count_solve(*backend_);
   VS_REQUIRE(b.size() == a_->size(), "solve: rhs size mismatch");
   if (x.size() != a_->size()) x.assign(a_->size(), 0.0);
 
@@ -326,6 +331,7 @@ SolveReport Solver::iterate_once(const Vector& b, Vector& x,
                                  const IterativeOptions& iterative) {
   VS_REQUIRE(kind_ != SolverKind::DenseLu,
              "iterate_once: dense-LU binds have no iterative primary method");
+  count_solve(*backend_);
   const KrylovContext ctx{backend_, prepared_.get(), &workspace_};
   if (kind_ == SolverKind::Cg) {
     return conjugate_gradient(*a_, b, x, *precond_, iterative, ctx);

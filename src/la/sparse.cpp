@@ -19,14 +19,28 @@ void CooBuilder::add(std::size_t row, std::size_t col, double value) {
   values_.push_back(value);
 }
 
-CsrMatrix CooBuilder::build() const {
-  // Sort entry indices by (row, col), then merge duplicates.
-  std::vector<std::size_t> order(rows_.size());
+namespace {
+
+/// Stamp indices sorted by (row, col).  The tie order among duplicates of
+/// one (row, col) is whatever this sort leaves, and it fixes the order in
+/// which their values are summed -- build() and CsrAssembly both take it
+/// from here, which is what makes a replayed assembly bit-identical.
+std::vector<std::size_t> merge_order(const std::vector<std::size_t>& rows,
+                                     const std::vector<std::size_t>& cols) {
+  std::vector<std::size_t> order(rows.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (rows_[a] != rows_[b]) return rows_[a] < rows_[b];
-    return cols_[a] < cols_[b];
+    if (rows[a] != rows[b]) return rows[a] < rows[b];
+    return cols[a] < cols[b];
   });
+  return order;
+}
+
+}  // namespace
+
+CsrMatrix CooBuilder::build() const {
+  // Sort entry indices by (row, col), then merge duplicates.
+  const std::vector<std::size_t> order = merge_order(rows_, cols_);
 
   // row_ptr holds per-row entry counts during the merge pass and is turned
   // into cumulative offsets afterwards.
@@ -53,6 +67,40 @@ CsrMatrix CooBuilder::build() const {
 
   return CsrMatrix(n_, std::move(row_ptr), std::move(col_idx),
                    std::move(values));
+}
+
+CsrAssembly::CsrAssembly(const CooBuilder& stamps)
+    : n_(stamps.n_), order_(merge_order(stamps.rows_, stamps.cols_)) {
+  // build()'s merge pass, recording where each entry's run of duplicates
+  // starts in order_ instead of summing values.
+  const auto& rows = stamps.rows_;
+  const auto& cols = stamps.cols_;
+  row_ptr_.assign(n_ + 1, 0);
+  for (std::size_t k = 0; k < order_.size(); ++k) {
+    const std::size_t e = order_[k];
+    if (k > 0 && rows[e] == rows[order_[k - 1]] &&
+        cols[e] == cols[order_[k - 1]]) {
+      continue;
+    }
+    col_idx_.push_back(cols[e]);
+    entry_ptr_.push_back(k);
+    row_ptr_[rows[e] + 1]++;
+  }
+  entry_ptr_.push_back(order_.size());
+  for (std::size_t r = 0; r < n_; ++r) row_ptr_[r + 1] += row_ptr_[r];
+}
+
+CsrMatrix CsrAssembly::assemble(const std::vector<double>& values) const {
+  VS_REQUIRE(values.size() == order_.size(),
+             "assemble: one value per planned stamp required");
+  std::vector<double> merged(col_idx_.size());
+  for (std::size_t k = 0; k < merged.size(); ++k) {
+    std::size_t i = entry_ptr_[k];
+    double sum = values[order_[i]];
+    for (++i; i < entry_ptr_[k + 1]; ++i) sum += values[order_[i]];
+    merged[k] = sum;
+  }
+  return CsrMatrix(n_, row_ptr_, col_idx_, std::move(merged));
 }
 
 CsrMatrix::CsrMatrix(std::size_t n, std::vector<std::size_t> row_ptr,

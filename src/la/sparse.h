@@ -2,7 +2,9 @@
 //
 // Matrices are assembled through CooBuilder (duplicate entries are summed,
 // which is exactly the "stamping" discipline of modified nodal analysis) and
-// then frozen into compressed-sparse-row form for the solvers.
+// then frozen into compressed-sparse-row form for the solvers.  Callers that
+// assemble many matrices over one fixed stamp list record the merge once in
+// a CsrAssembly and replay it per value set.
 #pragma once
 
 #include <atomic>
@@ -31,10 +33,46 @@ class CooBuilder {
   CsrMatrix build() const;
 
  private:
+  friend class CsrAssembly;
+
   std::size_t n_;
   std::vector<std::size_t> rows_;
   std::vector<std::size_t> cols_;
   std::vector<double> values_;
+};
+
+/// CooBuilder::build() recorded for a fixed list of stamp positions.
+///
+/// The constructor runs build()'s sort and merge once and keeps the merge
+/// order; assemble() then produces the CSR matrix for any values in
+/// O(stamps), summing each entry's duplicates in exactly build()'s order, so
+/// the result is bit-identical to a fresh build() of the same stamps.  Use
+/// it when one stamp list is assembled with many value sets (the transient
+/// step matrix of one topology for every timestep).
+class CsrAssembly {
+ public:
+  /// An empty plan (zero stamps); assign a real one before assembling.
+  CsrAssembly() = default;
+
+  /// Plan for `stamps`' positions, in its add() order; its values are
+  /// ignored.
+  explicit CsrAssembly(const CooBuilder& stamps);
+
+  std::size_t stamp_count() const { return order_.size(); }
+  std::size_t nnz() const { return col_idx_.size(); }
+
+  /// The matrix build() would return had the k-th add() carried
+  /// `values[k]`.  values.size() must equal stamp_count().
+  CsrMatrix assemble(const std::vector<double>& values) const;
+
+ private:
+  std::size_t n_ = 0;
+  std::vector<std::size_t> row_ptr_{0};
+  std::vector<std::size_t> col_idx_;
+  /// Stamp indices in merge order; CSR entry k sums
+  /// order_[entry_ptr_[k] .. entry_ptr_[k + 1]) left to right.
+  std::vector<std::size_t> order_;
+  std::vector<std::size_t> entry_ptr_;
 };
 
 /// Square compressed-sparse-row matrix with sorted, unique column indices

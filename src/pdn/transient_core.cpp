@@ -34,11 +34,12 @@ std::uint64_t bits_of(double x) {
 
 la::CsrMatrix SplitSystem::assemble(double h, bool backward_euler) const {
   const double s = backward_euler ? 1.0 : 2.0;
-  la::CooBuilder builder(n);
-  for (const auto& t : static_part) builder.add(t.i, t.j, t.v);
-  for (const auto& t : cap_part) builder.add(t.i, t.j, t.v * s / h);
-  for (const auto& t : ind_part) builder.add(t.i, t.j, t.v * h / s);
-  return builder.build();
+  std::vector<double> values;
+  values.reserve(plan.stamp_count());
+  for (const auto& t : static_part) values.push_back(t.v);
+  for (const auto& t : cap_part) values.push_back(t.v * s / h);
+  for (const auto& t : ind_part) values.push_back(t.v * h / s);
+  return plan.assemble(values);
 }
 
 bool StepSolver::solve(double h, bool backward_euler, const la::Vector& rhs,
@@ -109,8 +110,12 @@ StepSolver::Cached& StepSolver::cached(double h, bool backward_euler, double t,
   Cached c;
   c.matrix = sys_.assemble(h, backward_euler);
   if (sys_.n <= options_.direct_solver_node_limit) {
+    if (ordering_epoch_ != sys_.epoch) {
+      ordering_ = la::reverse_cuthill_mckee(c.matrix);
+      ordering_epoch_ = sys_.epoch;
+    }
     try {
-      c.direct = std::make_unique<la::ReorderedCholesky>(c.matrix);
+      c.direct = std::make_unique<la::ReorderedCholesky>(c.matrix, ordering_);
     } catch (const Error&) {
       report.record_event(t, "skyline Cholesky factorization failed for "
                              "dt = " + std::to_string(h) +
@@ -226,6 +231,14 @@ void TransientWorkspace::rebuild_topology() {
   const double inv_l = 1.0 / options_.package_inductance;
   sys_.ind_part.push_back({lvdd_mid_, lvdd_mid_, inv_l});
   sys_.ind_part.push_back({lgnd_mid_, lgnd_mid_, inv_l});
+
+  // The stamp positions are the same for every step size: sort and merge
+  // them once here, and replay that per (dt, scheme) in assemble().
+  la::CooBuilder positions(sys_.n);
+  for (const auto* part : {&sys_.static_part, &sys_.cap_part, &sys_.ind_part}) {
+    for (const auto& t : *part) positions.add(t.i, t.j, 0.0);
+  }
+  sys_.plan = la::CsrAssembly(positions);
 }
 
 void TransientWorkspace::init_states(const PdnSolution& dc, la::Vector& x) {

@@ -35,12 +35,14 @@ struct Trip {
 };
 
 /// The transient matrix split into timestep-independent parts so adaptive
-/// stepping can reassemble it for any (dt, scheme) in O(nnz):
+/// stepping can reassemble it for any (dt, scheme) in O(stamps):
 ///
 ///   A(h) = static + cap_coeff * s/h + ind_coeff * h/s,   s = 1 (BE), 2 (trap)
 ///
 /// where cap_coeff holds raw capacitances [F] and ind_coeff raw reciprocal
-/// inductances [1/H] with the companion stamp signs baked in.
+/// inductances [1/H] with the companion stamp signs baked in.  The stamp
+/// positions do not depend on h, so their sort and merge is recorded once
+/// per topology in `plan` and replayed for every (dt, scheme).
 struct SplitSystem {
   std::size_t n = 0;
   /// Topology epoch of the network this split was assembled from; bumped by
@@ -49,7 +51,12 @@ struct SplitSystem {
   std::vector<Trip> static_part;
   std::vector<Trip> cap_part;
   std::vector<Trip> ind_part;
+  /// Merge plan of the three parts' stamp positions, in that order;
+  /// re-recorded whenever they change.
+  la::CsrAssembly plan;
 
+  /// A(h), bit-identical to adding static_part, then cap_part, then
+  /// ind_part to a fresh la::CooBuilder and building it.
   la::CsrMatrix assemble(double h, bool backward_euler) const;
 };
 
@@ -98,6 +105,11 @@ class StepSolver {
   const SplitSystem& sys_;
   const PdnTransientOptions& options_;
   std::map<Key, Cached> cache_;
+  // RCM ordering for the direct rung.  It depends only on the sparsity
+  // pattern, which every (dt, scheme) of one epoch shares, so it is
+  // computed once per epoch.
+  std::vector<std::size_t> ordering_;
+  std::size_t ordering_epoch_ = static_cast<std::size_t>(-1);
   // Last epoch a lookup saw; a change means a topology mutation invalidated
   // every cached factorization (telemetry: pdn.step_solver.cache.*).
   std::size_t last_seen_epoch_ = static_cast<std::size_t>(-1);
@@ -121,9 +133,10 @@ class TransientWorkspace {
   std::size_t cells() const { return cells_; }
 
   /// Reassemble the split system from the network's CURRENT conductor and
-  /// converter lists and stamp it with the network's topology epoch.  Cheap
-  /// (O(nnz) triplet rebuild); called once at construction and after every
-  /// mid-run fault event or supervisor action.
+  /// converter lists, re-record its merge plan, and stamp it with the
+  /// network's topology epoch.  One triplet rebuild and one sort; called
+  /// once at construction and after every mid-run fault event or supervisor
+  /// action.
   void rebuild_topology();
 
   /// Initialize companion states and the unknown vector from the pre-event

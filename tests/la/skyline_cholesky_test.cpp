@@ -111,7 +111,9 @@ TEST(ReorderedCholeskyTest, SolvesInOriginalNumbering) {
   const Vector x = chol.solve(b);
   const Vector r = subtract(b, shuffled.multiply(x));
   EXPECT_LT(norm2(r) / norm2(b), 1e-12);
-  EXPECT_LT(chol.bandwidth_after(), chol.bandwidth_before());
+  const auto reordered =
+      permute_symmetric(shuffled, reverse_cuthill_mckee(shuffled));
+  EXPECT_LT(half_bandwidth(reordered), half_bandwidth(shuffled));
 }
 
 TEST(ReorderedCholeskyTest, RepeatedSolvesAreConsistent) {

@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "la/solve.h"
+#include "telemetry/telemetry.h"
 
 namespace vstack::la {
 namespace {
@@ -181,6 +182,40 @@ TEST(SolverHandleTest, IterateOnceIsSingleAttempt) {
   const auto stalled = solver.iterate_once(b, x2, starved);
   EXPECT_FALSE(stalled.converged);
   EXPECT_TRUE(stalled.attempts.empty());
+}
+
+TEST(SolverHandleTest, SolveCountersIncludeIterateOnce) {
+  // la.solver.solves.<backend> counts every solve through the handle, the
+  // iterate_once fast path included, so "solves >> binds" reads bind
+  // amortization on the caches that live on that path.  The ladder's own
+  // la.solve.calls counts solve() only.
+  const CsrMatrix a = grid_laplacian(8);
+  const Vector b(a.size(), 1.0);
+  for (const BackendChoice choice :
+       {BackendChoice::Reference, BackendChoice::Optimized}) {
+    SolveOptions opts;
+    opts.backend = choice;
+    const std::string counter =
+        choice == BackendChoice::Reference ? "la.solver.solves.reference"
+                                           : "la.solver.solves.optimized";
+    const auto before = telemetry::snapshot();
+    Solver solver(a, opts);
+    Vector x(a.size(), 0.0);
+    ASSERT_TRUE(solver.iterate_once(b, x, opts.iterative).converged);
+    ASSERT_TRUE(solver.iterate_once(b, x, opts.iterative).converged);
+    ASSERT_TRUE(solver.solve(b, x).converged);
+    const auto after = telemetry::snapshot();
+    const auto delta = [&](const std::string& name) {
+      return after.counter_value(name) - before.counter_value(name);
+    };
+#if VSTACK_TELEMETRY_ENABLED
+    EXPECT_EQ(delta(counter), 3.0) << counter;
+    EXPECT_EQ(delta("la.solve.calls"), 1.0);
+    EXPECT_EQ(delta("la.solver.binds"), 1.0);
+#else
+    EXPECT_EQ(delta(counter), 0.0) << counter;
+#endif
+  }
 }
 
 TEST(SolverHandleTest, EscalationLadderStillRunsThroughHandle) {

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -295,6 +297,64 @@ TEST(PdnFaultEventTest, StepSolverCacheIsInvalidatedByTheTopologyEpoch) {
     delta = std::max(delta, std::abs(after[i] - before[i]));
   }
   EXPECT_GT(delta, 1e-12);
+}
+
+/// SplitSystem::assemble replays the epoch's merge plan; it must equal a
+/// fresh CooBuilder build of the same three parts, bit for bit, for both
+/// schemes and any step size.
+void expect_replay_matches_fresh_build(const detail::SplitSystem& sys) {
+  const auto bits = [](double x) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof(b));
+    return b;
+  };
+  for (const bool be : {true, false}) {
+    for (const double h : {1e-12, 3.7e-10, 1e-9, 2.5e-8}) {
+      const double s = be ? 1.0 : 2.0;
+      la::CooBuilder fresh(sys.n);
+      for (const auto& t : sys.static_part) fresh.add(t.i, t.j, t.v);
+      for (const auto& t : sys.cap_part) fresh.add(t.i, t.j, t.v * s / h);
+      for (const auto& t : sys.ind_part) fresh.add(t.i, t.j, t.v * h / s);
+      const la::CsrMatrix expected = fresh.build();
+      const la::CsrMatrix replayed = sys.assemble(h, be);
+      ASSERT_EQ(replayed.row_ptr(), expected.row_ptr()) << "h " << h;
+      ASSERT_EQ(replayed.col_idx(), expected.col_idx()) << "h " << h;
+      ASSERT_EQ(replayed.nnz(), expected.nnz());
+      for (std::size_t k = 0; k < expected.nnz(); ++k) {
+        ASSERT_EQ(bits(replayed.values()[k]), bits(expected.values()[k]))
+            << "h " << h << (be ? " BE" : " trap") << ", entry " << k;
+      }
+    }
+  }
+}
+
+TEST(PdnFaultEventTest, StepMatrixReplayMatchesFreshBuildAcrossRebuilds) {
+  PdnModel model(small_stack(3), paper_fp());
+  PdnNetwork net = model.network();
+  const PdnTransientOptions o = fast_options();
+  detail::TransientWorkspace ws(net, o);
+  expect_replay_matches_fresh_build(ws.system());
+  const std::size_t stamps_before = ws.system().plan.stamp_count();
+  const std::size_t nnz_before = ws.system().plan.nnz();
+
+  // Change the stamp list: open a grid strap outright and engage a bypass
+  // clone of a converter.  A plan kept from before would now replay the
+  // wrong positions.
+  std::size_t strap = net.conductors().size();
+  for (std::size_t i = 0; i < net.conductors().size(); ++i) {
+    if (net.conductors()[i].kind == ConductorKind::GridStrap) {
+      strap = i;
+      break;
+    }
+  }
+  ASSERT_LT(strap, net.conductors().size());
+  net.remove_conductor_units(strap, net.conductors()[strap].count);
+  net.add_converter_clone(0, 2.0 * net.converters()[0].r_series);
+  ws.rebuild_topology();
+
+  EXPECT_NE(ws.system().plan.stamp_count(), stamps_before);
+  EXPECT_NE(ws.system().plan.nnz(), nnz_before);
+  expect_replay_matches_fresh_build(ws.system());
 }
 
 }  // namespace
