@@ -8,16 +8,21 @@
 //
 //   * Deterministic N-1: open each candidate conductor group in turn (the
 //     top-k by EM failure probability, or every candidate).
-//   * Seeded Monte Carlo N-k: each trial samples k conductor faults weighted
-//     by failure probability (half opens, half resistance degradations),
-//     optionally plus stuck-off converter phases and leakage shorts.
+//   * Seeded Monte Carlo N-k: each trial samples k distinct conductor
+//     faults weighted by failure probability (each an open or a resistance
+//     degradation by coin flip), optionally plus stuck-off converter
+//     phases and leakage shorts.
 //
-// Damaged networks may be near-singular; all solves run through the
-// la::Solver degradation ladder and NEVER throw -- every case ends as
-// Survivable, Degraded, or Infeasible with a structured diagnostic.
+// The campaign half is grid-independent and runs against a FaultTarget:
+// ContingencyEngine is the target for synthesized stacks (pdn::PdnModel),
+// pgio/campaign.h the one for imported benchmark grids.  Damaged networks
+// may be near-singular; all solves run through the la::Solver degradation
+// ladder and NEVER throw -- every case ends as Survivable, Degraded, or
+// Infeasible with a structured diagnostic.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,47 +42,53 @@ struct EmRiskEntry {
   double failure_probability = 0.0;
 };
 
-struct ContingencyOptions {
-  /// Horizon for the failure-probability ranking [lifetime units];
-  /// 0 = auto (the baseline TSV array's P = 0.5 crossing).
-  double mission_time = 0.0;
-
-  /// N-1 sweep size: top_k candidates by EM risk, or every candidate group
+/// Campaign shape shared by every grid: which N-1 cases run, how Monte
+/// Carlo trials are sampled, the Degraded budget, and case scheduling.
+struct CampaignShape {
+  /// N-1 sweep size: top_k candidates by risk, or every candidate group
   /// when exhaustive is set.
   std::size_t top_k = 8;
   bool exhaustive = false;
 
-  /// Post-fault budget: max node deviation as a fraction of vdd.  Cases
-  /// above it (or over the converter current limit) classify as Degraded.
+  /// Post-fault budget: max node deviation as a fraction of the supply.
+  /// Cases above it (or over the converter current limit) classify as
+  /// Degraded.
   double noise_budget_fraction = 0.10;
 
   /// Monte Carlo N-k campaign shape.
   std::size_t trials = 25;
   std::size_t faults_per_trial = 2;
-  std::size_t converter_faults_per_trial = 0;  // stuck-off phases per trial
   std::size_t leakage_faults_per_trial = 0;    // shorts to ground per trial
   double leakage_resistance = 10.0;            // [Ohm]
   double degrade_factor = 8.0;  // resistance multiplier for partial faults
   std::uint64_t seed = 42;
 
-  pdn::PdnSolveOptions solve;
-
   /// Case scheduling (core/task_pool.h).  Defaults to serial; with
-  /// jobs > 1 the independent cases (each on a fresh PdnModel) evaluate
-  /// concurrently while the report is reduced in case order, so the
-  /// outcome counts, case list, and worst-deviation aggregate are
-  /// bit-identical to a serial run.  Planning (RNG sampling, EM ranking,
+  /// jobs > 1 the independent cases (each on a fresh copy of the grid)
+  /// evaluate concurrently while the report is reduced in case order, so
+  /// the outcome counts, case list, and worst-deviation aggregate are
+  /// bit-identical to a serial run.  Planning (RNG sampling, ranking,
   /// baseline solve) always stays serial so seeds reproduce exactly.
   ExecutionPolicy execution;
 };
 
-/// One sampled Monte Carlo scenario, fully determined before any evaluation.
-/// All RNG consumption happens while PLANNING, never while evaluating, so a
-/// campaign can be replayed (or resumed from a checkpoint) scenario-by-
-/// scenario and still reproduce run_monte_carlo's exact fault sets.
+struct ContingencyOptions : CampaignShape {
+  /// Horizon for the failure-probability ranking [lifetime units];
+  /// 0 = auto (the baseline TSV array's P = 0.5 crossing).
+  double mission_time = 0.0;
+
+  std::size_t converter_faults_per_trial = 0;  // stuck-off phases per trial
+
+  pdn::PdnSolveOptions solve;
+};
+
+/// One planned case, fully determined before any evaluation.  All RNG
+/// consumption happens while PLANNING, never while evaluating, so a Monte
+/// Carlo campaign can be replayed (or resumed from a checkpoint) scenario-
+/// by-scenario and still reproduce run_monte_carlo's exact fault sets.
 struct PlannedScenario {
-  std::size_t index = 0;  // trial number within the campaign
-  std::string label;      // "MC#<trial>"
+  std::size_t index = 0;  // position within the campaign
+  std::string label;      // "MC#<trial>", or the target's N-1 label
   pdn::FaultSet faults;
 };
 
@@ -102,6 +113,9 @@ struct ContingencyCase {
   /// Sum of all TSV-array currents: conservation check that the faulted
   /// conductor's current actually redistributed to survivors.
   double tsv_current_sum = 0.0;
+  /// Load current [A] injected into floating islands; any (above 1 pA)
+  /// makes the case Infeasible.
+  double stranded_load_current = 0.0;
   std::string diagnostic;
 
   /// The solve was cut short by options.execution.deadline.  Not evidence
@@ -133,6 +147,61 @@ struct ContingencyReport {
   bool cancelled = false;
 };
 
+/// The grid-specific half of a contingency campaign.  The engine functions
+/// below plan N-1 sweeps, sample Monte Carlo trials, evaluate cases in
+/// order and classify them; a target only solves its own grid, intact or
+/// damaged.
+class FaultTarget {
+ public:
+  /// The fault-free grid, solved once.
+  struct Baseline {
+    ContingencyReport report;    // base_* fields and every ranked candidate
+    std::size_t nodes = 0;       // leakage sites the sampler draws from
+    std::size_t converters = 0;  // stuck-off candidates
+  };
+
+  virtual ~FaultTarget() = default;
+
+  /// Solve the intact grid and rank its candidates (descending risk).
+  /// nullopt when the baseline does not solve: the campaign plans nothing.
+  virtual std::optional<Baseline> baseline() const = 0;
+
+  /// Apply `faults` to a fresh copy of the grid and solve it, giving up
+  /// once `deadline` fires.  Fills the measured fields of the case (solved,
+  /// attempts, metrics, stranded current, diagnostic) and may name it; the
+  /// engine sets the faults, the outcome and the truncation flag.
+  virtual ContingencyCase solve(const pdn::FaultSet& faults,
+                                const Deadline& deadline) const = 0;
+
+  /// Label of the N-1 case that opens ranking entry `rank`.
+  virtual std::string open_label(std::size_t rank,
+                                 const EmRiskEntry& entry) const = 0;
+};
+
+/// Evaluate one explicit fault set (building block of both campaigns).
+/// A nonempty `label` overrides the target's name for the case.
+ContingencyCase evaluate_case(const FaultTarget& target,
+                              const pdn::FaultSet& faults,
+                              const CampaignShape& shape,
+                              const std::string& label = "");
+
+/// Deterministic N-1 sweep over the target's ranking.
+ContingencyReport run_n_minus_1(const FaultTarget& target,
+                                const CampaignShape& shape);
+
+/// Sample the Monte Carlo trial list from a solved baseline.  All RNG
+/// consumption happens here, never while evaluating.
+std::vector<PlannedScenario> plan_monte_carlo(
+    const FaultTarget::Baseline& baseline, const CampaignShape& shape,
+    std::size_t converter_faults_per_trial = 0);
+
+/// Seeded Monte Carlo N-k campaign: plan_monte_carlo, then evaluate the plan.
+ContingencyReport run_monte_carlo(const FaultTarget& target,
+                                  const CampaignShape& shape,
+                                  std::size_t converter_faults_per_trial = 0);
+
+/// The synthesized-stack front end: a FaultTarget over pdn::PdnModel built
+/// from `config` under the study context's floorplan and core model.
 class ContingencyEngine {
  public:
   ContingencyEngine(const StudyContext& ctx, pdn::StackupConfig config);
@@ -171,12 +240,6 @@ class ContingencyEngine {
                                 const std::string& label = "") const;
 
  private:
-  ContingencyReport make_baseline_report(
-      const std::vector<double>& layer_activities,
-      const ContingencyOptions& options) const;
-  void classify_and_append(ContingencyReport& report,
-                           ContingencyCase one) const;
-
   const StudyContext& ctx_;
   pdn::StackupConfig config_;
 };

@@ -57,8 +57,7 @@ double relative_residual(const CsrMatrix& a, const Vector& b,
 /// impossible -- e.g. IC(0) on an indefinite fault-damaged matrix, or
 /// ILU(0) on a structurally zero diagonal.
 std::unique_ptr<Preconditioner> build_precond(const CsrMatrix& a,
-                                              PrecondKind kind, bool use_ilu0,
-                                              bool symmetric,
+                                              PrecondKind kind, bool symmetric,
                                               std::string& label) {
   if (kind == PrecondKind::Identity) {
     label = "identity";
@@ -76,10 +75,7 @@ std::unique_ptr<Preconditioner> build_precond(const CsrMatrix& a,
       VS_LOG_WARN("IC(0) requested for a non-symmetric system; using ILU(0)");
     }
   }
-  const bool want_ilu0 =
-      kind == PrecondKind::Ilu0 || kind == PrecondKind::Ic0 ||
-      (kind == PrecondKind::Auto && use_ilu0);
-  if (want_ilu0) {
+  if (kind != PrecondKind::Jacobi) {
     try {
       label = "ilu0";
       return make_ilu0(a);
@@ -202,8 +198,8 @@ Solver::Solver(const CsrMatrix& a, SolveOptions options)
   }
   prepared_ = backend_->prepare(a);
   if (kind_ != SolverKind::DenseLu) {
-    precond_ = build_precond(a, options_.preconditioner, options_.use_ilu0,
-                             symmetric, precond_label_);
+    precond_ = build_precond(a, options_.preconditioner, symmetric,
+                             precond_label_);
   }
 }
 

@@ -12,8 +12,7 @@
 //   * a KrylovWorkspace, so the CG/BiCGSTAB loops allocate nothing after
 //     the first solve.
 //
-// solve() runs the same graceful-degradation ladder the free-function
-// la::solve always has:
+// solve() runs the graceful-degradation ladder:
 //
 //   CG -> BiCGSTAB -> BiCGSTAB with a rebuilt, diagonally-shifted ILU ->
 //   dense LU (systems up to dense_fallback_max_size unknowns)
@@ -23,11 +22,6 @@
 // in SolveReport::attempts.  The bound matrix must outlive the Solver and
 // must not move or change values while bound; callers that rebuild their
 // matrix (topology epoch bumps) rebuild the Solver with it.
-//
-// The legacy free function la::solve (la/solve.h) is a thin shim over a
-// temporary Solver and is DEPRECATED for repeated solves: it re-prepares
-// the matrix, re-probes symmetry, and re-factorizes the preconditioner on
-// every call.  See docs/linear_algebra.md for the migration guide.
 #pragma once
 
 #include <memory>
@@ -42,18 +36,17 @@ namespace vstack::la {
 
 enum class SolverKind { Auto, Cg, BiCgStab, DenseLu };
 
-/// Preconditioner ladder position.  Auto preserves the historic behavior
-/// (ILU(0) when use_ilu0, else Jacobi).  Ic0 sits one tier above ILU(0)
-/// for symmetric systems: half the factor memory and triangular-solve work,
-/// but it requires a (numerically) SPD matrix -- on breakdown, or on a
-/// non-symmetric system, it degrades to ILU(0) with a warning, then to
-/// Jacobi, exactly like the historic factorization-failure chain.
+/// Preconditioner ladder position.  Auto means ILU(0).  Ic0 sits one tier
+/// above ILU(0) for symmetric systems: half the factor memory and
+/// triangular-solve work, but it requires a (numerically) SPD matrix -- on
+/// breakdown, or on a non-symmetric system, it degrades to ILU(0) with a
+/// warning, then to Jacobi, exactly like the historic factorization-failure
+/// chain.
 enum class PrecondKind { Auto, Ic0, Ilu0, Jacobi, Identity };
 
 struct SolveOptions {
   SolverKind kind = SolverKind::Auto;
   IterativeOptions iterative;
-  bool use_ilu0 = true;  // PrecondKind::Auto falls back to Jacobi when false
   /// Which preconditioner tier to start from (degrades on failure).
   PrecondKind preconditioner = PrecondKind::Auto;
   /// Kernel backend; Auto defers to default_backend() (--la-backend /

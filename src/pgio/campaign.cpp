@@ -4,14 +4,12 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/rng.h"
+#include "core/task_pool.h"
 #include "telemetry/telemetry.h"
 
 namespace vstack::pgio {
 
 namespace {
-
-const telemetry::Counter c_cases("pgio.campaign.cases");
 
 void apply_faults(ImportedGrid& grid, const pdn::FaultSet& faults) {
   for (const auto& fault : faults.faults()) {
@@ -46,57 +44,73 @@ double reference_potential(const ImportedGrid& grid) {
   return ref;
 }
 
-/// Baseline fields + ranking; returns false when the fault-free grid does
-/// not solve (the report then carries zero planned cases -- there is no
-/// meaningful baseline to compare damaged variants against).
-bool make_baseline(const ImportedGrid& grid, const GridCampaignOptions& options,
-                   core::ContingencyReport& report, GridSolution& baseline) {
-  ImportedGrid base(grid);
-  baseline = base.solve(options.solve);
-  if (!baseline.solve_ok) return false;
-  report.base_max_node_deviation_fraction = baseline.max_deviation_fraction;
-  report.base_max_ir_drop_fraction = baseline.max_deviation_fraction;
-  report.base_supply_current = baseline.supply_current_a;
-  return true;
-}
+// The imported-grid target.  Every solve runs on a copy of `grid`, the
+// baseline included, so each case starts cold from the unsolved import.
+class GridTarget final : public core::FaultTarget {
+ public:
+  GridTarget(const ImportedGrid& grid, const GridSolveOptions& solve)
+      : grid_(grid), solve_(solve) {}
 
-void classify_and_append(core::ContingencyReport& report,
-                         core::ContingencyCase one) {
-  switch (one.outcome) {
-    case core::CaseOutcome::Survivable: ++report.survivable; break;
-    case core::CaseOutcome::Degraded: ++report.degraded; break;
-    case core::CaseOutcome::Infeasible: ++report.infeasible; break;
+  std::optional<Baseline> baseline() const override {
+    const GridSolution solution = ImportedGrid(grid_).solve(solve_);
+    if (!solution.solve_ok) return std::nullopt;
+    Baseline base;
+    base.report.base_max_node_deviation_fraction =
+        solution.max_deviation_fraction;
+    base.report.base_max_ir_drop_fraction = solution.max_deviation_fraction;
+    base.report.base_supply_current = solution.supply_current_a;
+    base.report.ranking = rank_by_stress(grid_, solution);
+    base.nodes = grid_.unknown_count();
+    return base;
   }
-  if (one.solved) {
-    report.worst_post_fault_deviation = std::max(
-        report.worst_post_fault_deviation, one.max_node_deviation_fraction);
-  }
-  report.cases.push_back(std::move(one));
-}
 
-core::ContingencyReport run_cases(const ImportedGrid& grid,
-                                  const GridCampaignOptions& options,
-                                  core::ContingencyReport report,
-                                  std::vector<pdn::FaultSet> plans,
-                                  std::vector<std::string> labels) {
-  report.planned = plans.size();
-  std::vector<core::ContingencyCase> slots(plans.size());
-  const core::TaskPool pool(options.execution);
-  const std::size_t committed = pool.run_ordered(
-      plans.size(),
-      [&](std::size_t i) {
-        slots[i] = evaluate_case(grid, plans[i], options, labels[i]);
-      },
-      [&](std::size_t i) { classify_and_append(report, std::move(slots[i])); });
-  report.cancelled = committed < report.planned;
+  core::ContingencyCase solve(const pdn::FaultSet& faults,
+                              const Deadline& deadline) const override {
+    ImportedGrid damaged(grid_);
+    apply_faults(damaged, faults);
+    GridSolveOptions options = solve_;
+    options.iterative.deadline = deadline;
+    const GridSolution solution = damaged.solve(options);
+
+    core::ContingencyCase one;
+    one.solved = solution.solve_ok;
+    one.solve_attempts =
+        std::max<std::size_t>(1, solution.report.attempts.size());
+    one.floating_islands = solution.floating_islands;
+    one.diagnostic = solution.diagnostic;
+    if (!solution.solve_ok) return one;
+    one.max_node_deviation_fraction = solution.max_deviation_fraction;
+    one.max_ir_drop_fraction = solution.max_deviation_fraction;
+    one.supply_current = solution.supply_current_a;
+    one.stranded_load_current = solution.floating_load_current_a;
+    return one;
+  }
+
+  std::string open_label(std::size_t rank,
+                         const core::EmRiskEntry& entry) const override {
+    return "N-1#" + std::to_string(rank) + " open[" +
+           std::to_string(entry.conductor_index) + "]";
+  }
+
+ private:
+  const ImportedGrid& grid_;
+  const GridSolveOptions& solve_;
+};
+
+/// The reports carry the top_k ranked conductors (every one when
+/// exhaustive); the engine ranked them all for the sampler.
+core::ContingencyReport keep_top_k(core::ContingencyReport report,
+                                   const GridCampaignOptions& options) {
+  if (!options.exhaustive && report.ranking.size() > options.top_k) {
+    report.ranking.resize(options.top_k);
+  }
   return report;
 }
 
 }  // namespace
 
-std::vector<core::EmRiskEntry> rank_by_stress(
-    const ImportedGrid& grid, const GridSolution& baseline,
-    const GridCampaignOptions& options) {
+std::vector<core::EmRiskEntry> rank_by_stress(const ImportedGrid& grid,
+                                              const GridSolution& baseline) {
   VS_REQUIRE(baseline.solve_ok, "stress ranking needs a solved baseline");
   VS_REQUIRE(baseline.voltages.size() == grid.unknown_count(),
              "baseline does not match this grid");
@@ -126,9 +140,6 @@ std::vector<core::EmRiskEntry> rank_by_stress(
                    [](const core::EmRiskEntry& a, const core::EmRiskEntry& b) {
                      return a.failure_probability > b.failure_probability;
                    });
-  if (!options.exhaustive && entries.size() > options.top_k) {
-    entries.resize(options.top_k);
-  }
   return entries;
 }
 
@@ -136,114 +147,21 @@ core::ContingencyCase evaluate_case(const ImportedGrid& grid,
                                     const pdn::FaultSet& faults,
                                     const GridCampaignOptions& options,
                                     const std::string& label) {
-  c_cases.add();
-  core::ContingencyCase one;
-  one.label = label;
-  one.faults = faults;
-  one.converter_limit_ok = true;
-
-  ImportedGrid damaged(grid);
-  apply_faults(damaged, faults);
-  const GridSolution solution = damaged.solve(options.solve);
-  one.solved = solution.solve_ok;
-  one.solve_attempts = std::max<std::size_t>(1, solution.report.attempts.size());
-  one.floating_islands = solution.floating_islands;
-  one.deadline_truncated = solution.report.deadline_expired;
-  if (!solution.solve_ok) {
-    one.outcome = core::CaseOutcome::Infeasible;
-    one.diagnostic = solution.diagnostic;
-    return one;
-  }
-  one.max_node_deviation_fraction = solution.max_deviation_fraction;
-  one.max_ir_drop_fraction = solution.max_deviation_fraction;
-  one.supply_current = solution.supply_current_a;
-  if (solution.floating_load_current_a > 0.0) {
-    one.outcome = core::CaseOutcome::Infeasible;
-    one.diagnostic = "load current stranded on a floating island";
-  } else if (solution.max_deviation_fraction > options.noise_budget_fraction) {
-    one.outcome = core::CaseOutcome::Degraded;
-  } else {
-    one.outcome = core::CaseOutcome::Survivable;
-  }
-  return one;
+  return core::evaluate_case(GridTarget(grid, options.solve), faults,
+                             options, label);
 }
 
 core::ContingencyReport run_n_minus_1(const ImportedGrid& grid,
                                       const GridCampaignOptions& options) {
-  VS_SPAN("pgio.campaign.n_minus_1");
-  core::ContingencyReport report;
-  GridSolution baseline;
-  if (!make_baseline(grid, options, report, baseline)) return report;
-  report.ranking = rank_by_stress(grid, baseline, options);
-
-  std::vector<pdn::FaultSet> plans;
-  std::vector<std::string> labels;
-  for (std::size_t i = 0; i < report.ranking.size(); ++i) {
-    const std::size_t index = report.ranking[i].conductor_index;
-    plans.push_back(pdn::FaultSet().open_conductor(index));
-    labels.push_back("N-1#" + std::to_string(i) + " open[" +
-                     std::to_string(index) + "]");
-  }
-  return run_cases(grid, options, std::move(report), std::move(plans),
-                   std::move(labels));
+  return keep_top_k(
+      core::run_n_minus_1(GridTarget(grid, options.solve), options), options);
 }
 
 core::ContingencyReport run_monte_carlo(const ImportedGrid& grid,
                                         const GridCampaignOptions& options) {
-  VS_SPAN("pgio.campaign.monte_carlo");
-  core::ContingencyReport report;
-  GridSolution baseline;
-  if (!make_baseline(grid, options, report, baseline)) return report;
-
-  // Rank EVERY conductor: the sampler draws from the full stress
-  // distribution even when the reported ranking is truncated.
-  GridCampaignOptions full = options;
-  full.exhaustive = true;
-  std::vector<core::EmRiskEntry> ranking = rank_by_stress(grid, baseline, full);
-  report.ranking = ranking;
-  if (!options.exhaustive && report.ranking.size() > options.top_k) {
-    report.ranking.resize(options.top_k);
-  }
-  if (ranking.empty()) return report;
-
-  std::vector<double> cumulative(ranking.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < ranking.size(); ++i) {
-    acc += ranking[i].failure_probability;
-    cumulative[i] = acc;
-  }
-
-  // Plan every trial up front; evaluation consumes no randomness, so a
-  // given seed reproduces the same fault sets at any jobs count.
-  Rng rng(options.seed);
-  const auto sample_index = [&]() -> std::size_t {
-    if (acc <= 0.0) return rng.uniform_index(ranking.size());
-    const double u = rng.uniform() * acc;
-    const auto it = std::lower_bound(cumulative.begin(), cumulative.end(), u);
-    return std::min<std::size_t>(it - cumulative.begin(), ranking.size() - 1);
-  };
-  std::vector<pdn::FaultSet> plans;
-  std::vector<std::string> labels;
-  for (std::size_t trial = 0; trial < options.trials; ++trial) {
-    pdn::FaultSet faults;
-    for (std::size_t f = 0; f < options.faults_per_trial; ++f) {
-      const std::size_t index = ranking[sample_index()].conductor_index;
-      if (f % 2 == 0) {
-        faults.open_conductor(index);
-      } else {
-        faults.degrade_conductor(index, options.degrade_factor);
-      }
-    }
-    for (std::size_t f = 0; f < options.leakage_faults_per_trial; ++f) {
-      if (grid.unknown_count() == 0) break;
-      faults.leakage_to_ground(rng.uniform_index(grid.unknown_count()),
-                               options.leakage_resistance);
-    }
-    plans.push_back(std::move(faults));
-    labels.push_back("MC#" + std::to_string(trial));
-  }
-  return run_cases(grid, options, std::move(report), std::move(plans),
-                   std::move(labels));
+  return keep_top_k(
+      core::run_monte_carlo(GridTarget(grid, options.solve), options),
+      options);
 }
 
 std::vector<GridSolution> sweep_load_scale(const ImportedGrid& grid,

@@ -3,73 +3,51 @@
 // Monte Carlo N-k campaigns, load-scale sweeps, and a load-step
 // ride-through transient -- expressed against an ImportedGrid.
 //
-// The reports reuse core's structs (core::ContingencyReport,
-// core::ContingencyCase, core::EmRiskEntry, pdn::FaultSet) so downstream
-// consumers (CLI renderers, JSON writers) see one shape regardless of
-// where the grid came from.  Differences from the synthesized engine,
-// stated rather than hidden:
+// The contingency campaigns run on core's engine (core/contingency.h):
+// this file only supplies the grid-specific half of a core::FaultTarget --
+// the baseline solve and its ranking, and solving a faulted copy of the
+// grid.  N-1 planning, the Monte Carlo sampler, ordered evaluation,
+// deadline handling and Survivable/Degraded/Infeasible classification are
+// core's, so reports have one shape and one meaning regardless of where
+// the grid came from.  What stays grid-specific:
 //
 //   * Ranking is by DC current stress, not EM lifetime: imported netlists
 //     carry no geometry, so EmRiskEntry::failure_probability holds each
-//     candidate's share of total conductor current (a stress proxy that
-//     preserves the "most-loaded first" ordering N-1 wants).
+//     conductor's share of total conductor current (a stress proxy that
+//     preserves the "most-loaded first" ordering N-1 wants).  The reports
+//     keep the top_k entries of it (all of them when exhaustive).
 //   * Converter fields of the report stay zero -- benchmark grids have no
 //     converters.
-//
-// Determinism contract matches core: all RNG consumption happens while
-// planning (never while evaluating), each case runs on a fresh copy of the
-// base grid, and cases are committed in index order through
-// core::TaskPool::run_ordered -- so jobs=N output is bit-identical to
-// serial for a given seed.
 #pragma once
 
-#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/contingency.h"
-#include "core/task_pool.h"
 #include "pgio/grid.h"
 
 namespace vstack::pgio {
 
-struct GridCampaignOptions {
-  /// N-1 sweep size: top_k candidates by current stress, or every conductor
-  /// when exhaustive is set.
-  std::size_t top_k = 8;
-  bool exhaustive = false;
-
-  /// Cases above this deviation (|v - nominal| / max pad potential)
-  /// classify as Degraded.
-  double noise_budget_fraction = 0.10;
-
-  /// Monte Carlo N-k shape (mirrors core::ContingencyOptions).
-  std::size_t trials = 25;
-  std::size_t faults_per_trial = 2;
-  std::size_t leakage_faults_per_trial = 0;
-  double leakage_resistance = 10.0;  // [Ohm]
-  double degrade_factor = 8.0;       // resistance multiplier, partial faults
-  std::uint64_t seed = 42;
-
+/// Campaign shape plus the grid solve.  On imported grids a case's
+/// deviation is |v - nominal| / max pad potential.
+struct GridCampaignOptions : core::CampaignShape {
   GridSolveOptions solve;
-  core::ExecutionPolicy execution;
 };
 
-/// Rank conductors by DC current stress under `baseline` (descending).
-/// failure_probability is the group's share of the summed conductor
-/// current -- see the header comment.
+/// Rank every conductor by DC current stress under `baseline`
+/// (descending).  failure_probability is the conductor's share of the
+/// summed conductor current -- see the header comment.
 std::vector<core::EmRiskEntry> rank_by_stress(const ImportedGrid& grid,
-                                              const GridSolution& baseline,
-                                              const GridCampaignOptions&
-                                                  options = {});
+                                              const GridSolution& baseline);
 
 /// Deterministic N-1: open each ranked conductor in turn.
 core::ContingencyReport run_n_minus_1(const ImportedGrid& grid,
                                       const GridCampaignOptions& options = {});
 
-/// Seeded Monte Carlo N-k: each trial samples faults_per_trial conductor
-/// faults weighted by current stress (alternating full opens and
-/// degrade_factor degradations) plus leakage_faults_per_trial shorts to
-/// ground at stress-sampled nodes.
+/// Seeded Monte Carlo N-k on core's sampler: each trial draws
+/// faults_per_trial distinct conductors weighted by current stress (each a
+/// full open or a degrade_factor degradation) plus leakage_faults_per_trial
+/// shorts to ground at uniformly drawn unknown slots.
 core::ContingencyReport run_monte_carlo(const ImportedGrid& grid,
                                         const GridCampaignOptions& options =
                                             {});

@@ -1,8 +1,9 @@
 // Contingency engine: EM-risk ranking, deterministic N-1 sweeps, seeded
-// Monte Carlo N-k campaigns, and the ISSUE acceptance property -- an N-1
-// sweep over EVERY TSV of the default 4-layer stacked configuration
-// completes with each case either converged (with an attempt trail) or
-// structurally diagnosed, never an exception or a NaN.
+// Monte Carlo N-k campaigns, the shared engine's solve budget and ordered
+// commit, and the acceptance property -- an N-1 sweep over EVERY TSV of the
+// default 4-layer stacked configuration completes with each case either
+// converged (with an attempt trail) or structurally diagnosed, never an
+// exception or a NaN.
 #include "core/contingency.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <cmath>
 
 #include "power/workload.h"
+#include "telemetry/telemetry.h"
 
 namespace vstack::core {
 namespace {
@@ -218,7 +220,91 @@ TEST(ContingencyParallelTest, N1ParallelMatchesSerialBitwise) {
   expect_reports_identical(serial, parallel);
 }
 
-// The ISSUE acceptance property: N-1 over EVERY TSV (recycling TSVs and
+// Each campaign solves the intact stack once (baseline and ranking from the
+// same solve), then once per case.
+TEST(ContingencySolveBudgetTest, BaselineSolvesOncePerCampaign) {
+  const ContingencyEngine engine(ctx(), stacked4());
+  const auto dc_solves = [] {
+    return telemetry::snapshot().counter_value("pdn.dc.solves");
+  };
+#if VSTACK_TELEMETRY_ENABLED
+  const double per_case = 1.0;
+#else
+  const double per_case = 0.0;
+#endif
+  ContingencyOptions n1;
+  n1.top_k = 5;
+  double before = dc_solves();
+  ASSERT_EQ(engine.run_n_minus_1(acts4(), n1).cases.size(), 5u);
+  EXPECT_EQ(dc_solves() - before, 6.0 * per_case);
+
+  ContingencyOptions mc;
+  mc.trials = 6;
+  before = dc_solves();
+  ASSERT_EQ(engine.run_monte_carlo(acts4(), mc).cases.size(), 6u);
+  EXPECT_EQ(dc_solves() - before, 7.0 * per_case);
+
+  before = dc_solves();
+  ASSERT_EQ(engine.plan_monte_carlo(acts4(), mc).size(), 6u);
+  EXPECT_EQ(dc_solves() - before, 1.0 * per_case);
+}
+
+// A target with eight ranked candidates whose fourth case (rank 3) is cut
+// off by the deadline, the way a real solve reports it: the solve fails
+// while the token has fired.
+class TruncatingTarget final : public FaultTarget {
+ public:
+  std::optional<Baseline> baseline() const override {
+    Baseline base;
+    for (std::size_t i = 0; i < 8; ++i) {
+      EmRiskEntry entry;
+      entry.conductor_index = i;
+      entry.count = 1;
+      entry.failure_probability = 1.0 - 0.1 * static_cast<double>(i);
+      base.report.ranking.push_back(entry);
+    }
+    return base;
+  }
+
+  ContingencyCase solve(const pdn::FaultSet& faults,
+                        const Deadline& deadline) const override {
+    ContingencyCase one;
+    if (faults.faults().front().index == 3) {
+      deadline.cancel();
+      return one;
+    }
+    one.solved = true;
+    one.max_node_deviation_fraction = 0.01;
+    return one;
+  }
+
+  std::string open_label(std::size_t rank,
+                         const EmRiskEntry&) const override {
+    return "case" + std::to_string(rank);
+  }
+};
+
+TEST(ContingencyEngineTest, TruncatedCaseEndsTheCommittedPrefix) {
+  for (const std::size_t jobs : {1u, 4u}) {
+    CampaignShape shape;
+    shape.exhaustive = true;
+    shape.execution.jobs = jobs;
+    shape.execution.deadline = Deadline::cancellable();
+    const ContingencyReport report =
+        run_n_minus_1(TruncatingTarget(), shape);
+    EXPECT_EQ(report.planned, 8u) << "jobs=" << jobs;
+    EXPECT_TRUE(report.cancelled) << "jobs=" << jobs;
+    ASSERT_EQ(report.cases.size(), 3u) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(report.cases[i].label, "case" + std::to_string(i));
+      EXPECT_EQ(report.cases[i].outcome, CaseOutcome::Survivable);
+    }
+    EXPECT_EQ(report.survivable, 3u);
+    EXPECT_EQ(report.degraded + report.infeasible, 0u);
+  }
+}
+
+// The acceptance property: N-1 over EVERY TSV (recycling TSVs and
 // through-via chains) of the default 4-layer stacked configuration.  Each
 // case must come back classified -- converged with an attempt trail, or a
 // structured diagnostic -- and all reported metrics must be finite.

@@ -12,7 +12,6 @@
 #include <random>
 
 #include "common/error.h"
-#include "la/solve.h"
 #include "la/solver.h"
 
 namespace vstack::la {
@@ -239,27 +238,6 @@ TEST(BackendSolveTest, FaultDamagedMatrixCrossValidation) {
   const double b_norm = norm2(rhs);
   EXPECT_LT(norm2(res_ref) / b_norm, 1e-8);
   EXPECT_LT(norm2(res_opt) / b_norm, 1e-8);
-}
-
-TEST(BackendSolveTest, ReferenceBackendBitIdenticalToLegacyPath) {
-  // BackendChoice::Reference through the Solver must reproduce the
-  // historic free-function arithmetic exactly: same matrix, same RHS,
-  // bitwise-equal solution.
-  const CsrMatrix a = grid_laplacian(10);
-  const Vector b(a.size(), 1.0);
-
-  SolveOptions opts;
-  opts.backend = BackendChoice::Reference;  // pin both sides against the env
-  Vector x_shim;
-  const auto r_shim = solve(a, b, x_shim, opts);
-
-  Vector x_handle;
-  const auto r_handle = Solver(a, opts).solve(b, x_handle);
-
-  ASSERT_TRUE(r_shim.converged);
-  ASSERT_TRUE(r_handle.converged);
-  EXPECT_EQ(r_shim.iterations, r_handle.iterations);
-  EXPECT_EQ(x_shim, x_handle);
 }
 
 }  // namespace

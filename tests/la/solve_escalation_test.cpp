@@ -1,4 +1,4 @@
-// The la::solve graceful-degradation ladder: fault-damaged PDNs hand the
+// The la::Solver graceful-degradation ladder: fault-damaged PDNs hand the
 // solver indefinite, non-symmetric, and outright singular systems, and the
 // contract is that solve() NEVER throws and NEVER returns NaN -- it either
 // converges (with the attempt trail showing which rung succeeded) or comes
@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "la/solve.h"
+#include "la/solver.h"
 
 namespace vstack::la {
 namespace {
@@ -43,7 +43,7 @@ TEST(SolveEscalationTest, HealthySpdSolvesOnFirstAttempt) {
   const CsrMatrix a = builder.build();
   const Vector b(10, 1.0);
   Vector x;
-  const auto report = solve(a, b, x);
+  const auto report = Solver(a).solve(b, x);
   EXPECT_TRUE(report.converged);
   ASSERT_EQ(report.attempts.size(), 1u);
   EXPECT_TRUE(report.attempts[0].converged);
@@ -60,7 +60,7 @@ TEST(SolveEscalationTest, SymmetricIndefiniteEscalatesPastCg) {
   ASSERT_TRUE(a.is_symmetric());
   const Vector b{1.0, 0.0};
   Vector x;
-  const auto report = solve(a, b, x);
+  const auto report = Solver(a).solve(b, x);
   EXPECT_TRUE(report.converged);
   ASSERT_GE(report.attempts.size(), 2u);
   EXPECT_FALSE(report.attempts.front().converged);  // CG rejected it
@@ -76,7 +76,7 @@ TEST(SolveEscalationTest, SkewSystemRecoversThroughTheLadder) {
   const CsrMatrix a = from_dense({{0.0, 1.0}, {-1.0, 0.0}});
   const Vector b{1.0, 1.0};
   Vector x;
-  const auto report = solve(a, b, x);
+  const auto report = Solver(a).solve(b, x);
   EXPECT_TRUE(report.converged);
   ASSERT_GE(report.attempts.size(), 2u);
   EXPECT_FALSE(report.attempts.front().converged);
@@ -93,7 +93,7 @@ TEST(SolveEscalationTest, SkewSystemReachesDenseLuWhenRebuildNeutered) {
   Vector x;
   SolveOptions opts;
   opts.ilu_rebuild_shift = 0.0;
-  const auto report = solve(a, b, x, opts);
+  const auto report = Solver(a, opts).solve(b, x);
   EXPECT_TRUE(report.converged);
   ASSERT_FALSE(report.attempts.empty());
   EXPECT_EQ(report.attempts.back().method, "dense-lu");
@@ -109,7 +109,7 @@ TEST(SolveEscalationTest, SingularSystemFailsCleanlyWithoutNan) {
   const CsrMatrix a = from_dense({{1.0, 1.0}, {1.0, 1.0}});
   const Vector b{1.0, 0.0};
   Vector x{7.0, -7.0};
-  const auto report = solve(a, b, x);
+  const auto report = Solver(a).solve(b, x);
   EXPECT_FALSE(report.converged);
   EXPECT_FALSE(report.diagnostic.empty());
   EXPECT_GE(report.attempts.size(), 2u);  // the whole ladder ran
@@ -127,7 +127,7 @@ TEST(SolveEscalationTest, EscalationOffRunsExactlyOneAttempt) {
   Vector x;
   SolveOptions opts;
   opts.escalate = false;
-  const auto report = solve(a, b, x, opts);
+  const auto report = Solver(a, opts).solve(b, x);
   EXPECT_FALSE(report.converged);
   EXPECT_EQ(report.attempts.size(), 1u);
   EXPECT_FALSE(report.diagnostic.empty());
@@ -142,7 +142,7 @@ TEST(SolveEscalationTest, DenseFallbackRespectsSizeCap) {
   Vector x;
   SolveOptions opts;
   opts.dense_fallback_max_size = 1;
-  const auto report = solve(a, b, x, opts);
+  const auto report = Solver(a, opts).solve(b, x);
   EXPECT_FALSE(report.converged);
   for (const auto& attempt : report.attempts) {
     EXPECT_NE(attempt.method, "dense-lu");
@@ -173,13 +173,13 @@ TEST(SolveEscalationTest, StagnationDetectionTerminatesEarly) {
   SolveOptions healthy;
   healthy.kind = SolverKind::Cg;
   healthy.escalate = false;
-  ASSERT_TRUE(solve(a, b, x_ok, healthy).converged);
+  ASSERT_TRUE(Solver(a, healthy).solve(b, x_ok).converged);
 
   Vector x;
   SolveOptions opts = healthy;
   opts.iterative.stagnation_window = 1;
   opts.iterative.stagnation_factor = 1e-30;  // unreachable improvement
-  const auto report = solve(a, b, x, opts);
+  const auto report = Solver(a, opts).solve(b, x);
   EXPECT_FALSE(report.converged);
   EXPECT_LE(report.attempts[0].iterations, 3u);
   EXPECT_TRUE(all_finite(x));
@@ -199,7 +199,7 @@ TEST(SolveEscalationTest, IllConditionedSystemStillConverges) {
     b[i] = std::pow(10.0, 2.0 * static_cast<double>(i));
   }
   Vector x;
-  const auto report = solve(a, b, x);
+  const auto report = Solver(a).solve(b, x);
   EXPECT_TRUE(report.converged);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(x[i], 1.0, 1e-6);

@@ -1,11 +1,10 @@
-// la::Solver handle semantics: shim equivalence, workspace reuse,
-// solve_many batching, iterate_once, and per-call option overrides.
+// la::Solver handle semantics: workspace reuse, solve_many batching,
+// iterate_once, and per-call option overrides.
 #include "la/solver.h"
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "la/solve.h"
 #include "telemetry/telemetry.h"
 
 namespace vstack::la {
@@ -36,28 +35,6 @@ CsrMatrix asymmetric_system() {
   b.add(2, 3, -1.0);
   b.add(3, 2, -1.0);
   return b.build();
-}
-
-TEST(SolverHandleTest, ShimIsBehaviorallyIdentical) {
-  // The deprecated free function is a thin wrapper over a temporary
-  // Solver: identical solution bits, iterations, and attempt labels.
-  const CsrMatrix a = grid_laplacian(12);
-  Vector b(a.size());
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = 1.0 + 0.01 * double(i);
-
-  Vector x_shim, x_handle;
-  const auto r_shim = solve(a, b, x_shim);
-  Solver solver(a);
-  const auto r_handle = solver.solve(b, x_handle);
-
-  ASSERT_TRUE(r_shim.converged);
-  ASSERT_TRUE(r_handle.converged);
-  EXPECT_EQ(x_shim, x_handle);
-  EXPECT_EQ(r_shim.iterations, r_handle.iterations);
-  ASSERT_EQ(r_shim.attempts.size(), r_handle.attempts.size());
-  for (std::size_t i = 0; i < r_shim.attempts.size(); ++i) {
-    EXPECT_EQ(r_shim.attempts[i].method, r_handle.attempts[i].method);
-  }
 }
 
 TEST(SolverHandleTest, AutoResolvesKindAtBind) {
@@ -220,7 +197,7 @@ TEST(SolverHandleTest, SolveCountersIncludeIterateOnce) {
 
 TEST(SolverHandleTest, EscalationLadderStillRunsThroughHandle) {
   // A starved per-call budget with escalation enabled must walk past the
-  // primary CG attempt, matching the historic la::solve ladder.
+  // primary CG attempt.
   const CsrMatrix a = grid_laplacian(16);
   const Vector b(a.size(), 1.0);
   Solver solver(a);

@@ -1,15 +1,21 @@
 // Imported-grid campaigns: stress ranking, N-1 and Monte Carlo determinism
-// (including jobs=N bit-identity), load-scale sweeps, and the load-step
-// ride-through transient.
+// (including jobs=N bit-identity), core's sampler on imported grids, the
+// deadline contract shared with synthesized stacks, load-scale sweeps, and
+// the load-step ride-through transient.
 #include "pgio/campaign.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <set>
 #include <string>
 
 #include "common/error.h"
+#include "core/study.h"
 #include "pgio/reader.h"
+#include "power/workload.h"
 
 namespace vstack::pgio {
 namespace {
@@ -25,9 +31,7 @@ TEST(RankByStress, OrdersByCurrentShare) {
   const ImportedGrid grid(n);
   const GridSolution baseline = grid.solve();
   ASSERT_TRUE(baseline.solve_ok);
-  GridCampaignOptions opts;
-  opts.exhaustive = true;
-  const auto ranking = rank_by_stress(grid, baseline, opts);
+  const auto ranking = rank_by_stress(grid, baseline);
   ASSERT_EQ(ranking.size(), 3u);
   // Segment currents 3/2/1 A: shares 1/2, 1/3, 1/6, descending.
   EXPECT_EQ(ranking[0].conductor_index, 0u);
@@ -136,6 +140,80 @@ TEST(MonteCarlo, SeedReproducesAndVaries) {
   }
   EXPECT_TRUE(any_difference);
 }
+
+TEST(MonteCarlo, TrialsNameDistinctConductors) {
+  for (const char* name :
+       {"ladder4.spice", "mesh3x3.spice", "twonet_vias.spice"}) {
+    const PgNetlist n = read_netlist_file(fixture(name));
+    const ImportedGrid grid(n);
+    GridCampaignOptions opts;
+    opts.exhaustive = true;
+    opts.trials = 1000;
+    opts.faults_per_trial = 2;
+    const auto report = run_monte_carlo(grid, opts);
+    ASSERT_EQ(report.cases.size(), opts.trials) << name;
+    const std::size_t want =
+        std::min(opts.faults_per_trial, report.ranking.size());
+    std::size_t short_trials = 0;
+    for (const auto& c : report.cases) {
+      std::set<std::size_t> conductors;
+      for (const auto& f : c.faults.faults()) conductors.insert(f.index);
+      if (c.faults.size() != want || conductors.size() != want) {
+        ++short_trials;
+      }
+    }
+    EXPECT_EQ(short_trials, 0u) << name << ": trials not naming " << want
+                                << " distinct conductors";
+  }
+}
+
+// One body, both routes: an already-expired deadline truncates the case on
+// a synthesized stack and on an imported grid alike.
+struct DeadlineRoute {
+  const char* name;
+  core::ContingencyCase (*evaluate)(const core::ExecutionPolicy& execution);
+};
+
+// Test names stay stable: print the route, not the function pointer bytes.
+void PrintTo(const DeadlineRoute& route, std::ostream* os) {
+  *os << route.name;
+}
+
+core::ContingencyCase stacked_case(const core::ExecutionPolicy& execution) {
+  static const core::StudyContext ctx = core::StudyContext::paper_defaults();
+  auto cfg = core::make_stacked(ctx, 4, pdn::TsvConfig::few(), 8);
+  cfg.grid_nx = cfg.grid_ny = 12;
+  core::ContingencyOptions options;
+  options.execution = execution;
+  return core::ContingencyEngine(ctx, cfg).evaluate_case(
+      pdn::FaultSet(), power::interleaved_layer_activities(4, 0.5), options);
+}
+
+core::ContingencyCase mesh_case(const core::ExecutionPolicy& execution) {
+  const PgNetlist n = read_netlist_file(fixture("mesh3x3.spice"));
+  const ImportedGrid grid(n);
+  GridCampaignOptions options;
+  options.execution = execution;
+  return evaluate_case(grid, pdn::FaultSet(), options);
+}
+
+class ExpiredDeadline : public testing::TestWithParam<DeadlineRoute> {};
+
+TEST_P(ExpiredDeadline, EvaluateCaseIsTruncatedNotSolved) {
+  core::ExecutionPolicy execution;
+  execution.deadline = Deadline::after(0.0);
+  const core::ContingencyCase c = GetParam().evaluate(execution);
+  EXPECT_FALSE(c.solved);
+  EXPECT_TRUE(c.deadline_truncated);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothRoutes, ExpiredDeadline,
+    testing::Values(DeadlineRoute{"stacked4_12x12", &stacked_case},
+                    DeadlineRoute{"mesh3x3", &mesh_case}),
+    [](const testing::TestParamInfo<DeadlineRoute>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(EvaluateCase, ConverterFaultsAreRejected) {
   const PgNetlist n = ladder();

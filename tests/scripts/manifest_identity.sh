@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Cross-build manifest identity: two vstack_cli binaries must write the same
-# campaign manifest bytes (wall_seconds masked -- it is real time).
+# Cross-build output identity: two vstack_cli binaries must write the same
+# campaign manifest bytes (wall_seconds masked -- it is real time) and
+# print the same contingency reports.
 #
 # Runs `campaign --trials=4 --jobs=4 --timeout=0` with each binary at two
 # grid sizes, one per transient step path:
@@ -10,14 +11,22 @@
 #   --grid=8   8 layers x 8x8: below it, so steps use the RCM-reordered
 #              skyline Cholesky.
 #
-# A performance change that claims identical outputs runs this with the
-# parent commit's binary as BASE_CLI and its own as HEAD_CLI.
+# Then compares stdout and exit code of `contingency` on both routes of the
+# shared contingency engine: a synthesized 4-layer 12x12 stack (N-1 top-8
+# and a seeded Monte Carlo campaign) and an exhaustive N-1 sweep of each
+# imported pgio fixture.  Monte Carlo on imported grids (`--netlist ...
+# --mc`) is left out on purpose: it moved onto core's sampler, so its draws
+# differ from builds before that change.
+#
+# A change that claims identical outputs runs this with the parent commit's
+# binary as BASE_CLI and its own as HEAD_CLI.
 #
 # Usage: manifest_identity.sh BASE_CLI HEAD_CLI
 set -euo pipefail
 
 BASE_CLI=$(readlink -f "${1:?usage: manifest_identity.sh BASE_CLI HEAD_CLI}")
 HEAD_CLI=$(readlink -f "${2:?usage: manifest_identity.sh BASE_CLI HEAD_CLI}")
+ROOT=$(cd "$(dirname "$0")/../.." && pwd)
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/vstack_manifest_identity.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 
@@ -48,3 +57,30 @@ lines = len(base.splitlines())
 print(f"grid={grid}: manifests identical ({lines} lines, wall_seconds masked)")
 EOF
 done
+
+pgio="$ROOT/tests/data/pgio"
+status=0
+while read -r args; do
+  for side in base head; do
+    cli=$BASE_CLI
+    [ "$side" = head ] && cli=$HEAD_CLI
+    code=0
+    # shellcheck disable=SC2086  # $args is a list of flags
+    "$cli" contingency $args </dev/null >"$WORK/$side.out" 2>&1 || code=$?
+    echo "exit $code" >>"$WORK/$side.out"
+  done
+  if cmp -s "$WORK/base.out" "$WORK/head.out"; then
+    echo "contingency $args: output identical ($(tail -n 1 "$WORK/head.out"))"
+  else
+    echo "FAIL contingency $args: output differs"
+    diff "$WORK/base.out" "$WORK/head.out" | head -n 20
+    status=1
+  fi
+done <<EOF
+--layers=4 --grid=12 --top=8
+--layers=4 --grid=12 --mc --trials=12 --faults=3 --seed=7
+--netlist=$pgio/ladder4.spice --exhaustive
+--netlist=$pgio/mesh3x3.spice --exhaustive
+--netlist=$pgio/twonet_vias.spice --exhaustive
+EOF
+exit $status
