@@ -55,7 +55,9 @@ struct JobSpec {
   std::size_t chunk = 1;          // trials per lease; 1 = finest quarantine
   std::size_t max_attempts = 3;   // attempts before a chunk is quarantined
   double lease_expiry_s = 30.0;   // heartbeat silence before reclamation
-  double heartbeat_s = 1.0;       // lease mtime refresh period
+  double heartbeat_s = 1.0;       // lease mtime refresh period; also the
+                                  // longest an idle worker waits before it
+                                  // scans for claimable chunks again
 
   void validate() const;
 

@@ -1,16 +1,17 @@
 #include "shard/supervisor.h"
 
+#include <poll.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "common/durable_file.h"
@@ -29,8 +30,35 @@ namespace {
 const telemetry::Counter t_started("shard.workers.started");
 const telemetry::Counter t_restarted("shard.workers.restarted");
 
+/// Owns a pidfd: a descriptor that polls readable once its process exits.
+/// Holds -1 when pidfd_open failed (Linux < 5.3); such a worker is reaped
+/// on the poll_s tick instead.
+class PidFd {
+ public:
+  PidFd() = default;
+  PidFd(const PidFd&) = delete;
+  PidFd& operator=(const PidFd&) = delete;
+  ~PidFd() { reset(); }
+
+  void open(pid_t pid) {
+    reset();
+    // Through syscall(): glibc 2.36's <sys/pidfd.h> declares pidfd_open
+    // without C linkage, so a call from C++ does not link.
+    fd_ = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  }
+  void reset() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+  int get() const { return fd_; }
+
+ private:
+  int fd_ = -1;
+};
+
 struct Slot {
   pid_t pid = -1;
+  PidFd exit_fd;  // readable once `pid` exits
   std::string worker_id;
   std::size_t restarts = 0;
   std::size_t consecutive_crashes = 0;
@@ -39,11 +67,11 @@ struct Slot {
   bool failed = false;  // exhausted max_restarts
 };
 
-pid_t spawn_worker(const SupervisorOptions& opts, const std::string& id) {
+void spawn_worker(const SupervisorOptions& opts, Slot& slot) {
   std::vector<std::string> argv_s = opts.worker_command;
   argv_s.push_back("worker");
   argv_s.push_back("--job-dir=" + opts.job_dir);
-  argv_s.push_back("--worker-id=" + id);
+  argv_s.push_back("--worker-id=" + slot.worker_id);
   argv_s.push_back("--jobs=" + std::to_string(opts.worker_jobs));
   std::vector<char*> argv;
   argv.reserve(argv_s.size() + 1);
@@ -58,7 +86,8 @@ pid_t spawn_worker(const SupervisorOptions& opts, const std::string& id) {
     ::perror("shard supervisor: execv");
     ::_exit(127);
   }
-  return pid;
+  slot.pid = pid;
+  slot.exit_fd.open(pid);
 }
 
 }  // namespace
@@ -105,7 +134,7 @@ SupervisorReport run_supervised_job(const core::StudyContext& ctx,
   std::vector<Slot> slots(opts.shards);
   for (std::size_t i = 0; i < slots.size(); ++i) {
     slots[i].worker_id = "w" + std::to_string(i);
-    slots[i].pid = spawn_worker(opts, slots[i].worker_id);
+    spawn_worker(opts, slots[i]);
     ++report.workers_started;
     t_started.add();
   }
@@ -144,44 +173,41 @@ SupervisorReport run_supervised_job(const core::StudyContext& ctx,
       }
     }
 
-    // Reap every exited child.
-    for (;;) {
+    // Reap every exited worker (by its own pid: other children of this
+    // process are not ours to collect).
+    for (Slot& slot : slots) {
+      if (slot.pid < 0) continue;
       int status = 0;
-      const pid_t pid = ::waitpid(-1, &status, WNOHANG);
-      if (pid <= 0) break;
-      Slot* slot = nullptr;
-      for (Slot& s : slots) {
-        if (s.pid == pid) slot = &s;
-      }
-      if (!slot) continue;  // not ours (shouldn't happen)
-      slot->pid = -1;
+      if (::waitpid(slot.pid, &status, WNOHANG) != slot.pid) continue;
+      slot.pid = -1;
+      slot.exit_fd.reset();
       const bool clean_exit = WIFEXITED(status) && WEXITSTATUS(status) == 0;
       // Exit 4 is the repo-wide "interrupted by signal" code; after WE sent
       // SIGTERM it is the expected way for a worker to finish.
       const bool stopped =
           terminated && WIFEXITED(status) && WEXITSTATUS(status) == 4;
       if (clean_exit || stopped) {
-        slot->done = true;
-        slot->consecutive_crashes = 0;
+        slot.done = true;
+        slot.consecutive_crashes = 0;
         continue;
       }
       // Crash (signal, _exit(86) poison hook, nonzero): restart with
       // exponential backoff unless the slot is exhausted.
-      ++slot->consecutive_crashes;
-      if (slot->restarts >= opts.max_restarts) {
-        slot->failed = true;
+      ++slot.consecutive_crashes;
+      if (slot.restarts >= opts.max_restarts) {
+        slot.failed = true;
         ++report.failed_slots;
         VS_LOG_ERROR("shard: worker "
-                     << slot->worker_id << " exhausted " << opts.max_restarts
+                     << slot.worker_id << " exhausted " << opts.max_restarts
                      << " restarts; abandoning the slot");
         continue;
       }
       const double factor =
-          static_cast<double>(1u << (slot->consecutive_crashes > 4
+          static_cast<double>(1u << (slot.consecutive_crashes > 4
                                          ? 4
-                                         : slot->consecutive_crashes - 1));
-      slot->next_start_s = now + opts.backoff_s * factor;
-      VS_LOG_WARN("shard: worker " << slot->worker_id << " died ("
+                                         : slot.consecutive_crashes - 1));
+      slot.next_start_s = now + opts.backoff_s * factor;
+      VS_LOG_WARN("shard: worker " << slot.worker_id << " died ("
                                    << (WIFSIGNALED(status)
                                            ? "signal " +
                                                  std::to_string(WTERMSIG(status))
@@ -195,7 +221,7 @@ SupervisorReport run_supervised_job(const core::StudyContext& ctx,
     if (!terminated) {
       for (Slot& s : slots) {
         if (s.pid < 0 && !s.done && !s.failed && now >= s.next_start_s) {
-          s.pid = spawn_worker(opts, s.worker_id);
+          spawn_worker(opts, s);
           ++s.restarts;
           ++report.workers_restarted;
           t_restarted.add();
@@ -211,19 +237,27 @@ SupervisorReport run_supervised_job(const core::StudyContext& ctx,
 
     // Fleet drained?  (A failed slot's chunks are still reachable by the
     // other slots via lease expiry, so "drained" is purely about pids.)
+    // If not, wait for the first worker exit, the earliest restart gate or
+    // poll_s, whichever comes first.
     bool any_live = false;
     bool any_pending = false;
+    std::vector<pollfd> exits;
+    double wait_s = opts.poll_s;
+    const double wait_from = telemetry::monotonic_seconds();
     for (const Slot& s : slots) {
       any_live = any_live || s.pid >= 0;
       any_pending = any_pending || (!s.done && !s.failed);
+      if (s.pid >= 0 && s.exit_fd.get() >= 0) {
+        exits.push_back({s.exit_fd.get(), POLLIN, 0});
+      } else if (s.pid < 0 && !s.done && !s.failed && !terminated) {
+        wait_s = std::min(wait_s, std::max(0.0, s.next_start_s - wait_from));
+      }
     }
     if (!any_live && (terminated || !any_pending)) break;
-    if (!any_live && any_pending) {
-      // Everything is waiting on backoff; sleep until the earliest gate.
-      std::this_thread::sleep_for(std::chrono::duration<double>(opts.poll_s));
-      continue;
-    }
-    std::this_thread::sleep_for(std::chrono::duration<double>(opts.poll_s));
+    // The next pass reaps whichever worker exited; EINTR (a stop signal)
+    // only brings that pass sooner.
+    ::poll(exits.data(), exits.size(),
+           static_cast<int>(std::min(std::ceil(wait_s * 1e3), 1e9)));
   }
 
   write_health();

@@ -18,6 +18,11 @@
 //     crashing binary; a slot that exhausts it is abandoned (the rest of
 //     the fleet -- and lease expiry -- still drives the job forward).
 //
+// The supervisor holds a pidfd per worker and waits in poll() on them, so
+// it sees each exit at once, and a restart fires when its backoff ends.
+// poll_s only bounds how late it sees the stop token and health deadline
+// (and reaps a worker whose pidfd could not be opened, Linux < 5.3).
+//
 // On stop (SIGINT/SIGTERM mapped through the Deadline token), workers get
 // SIGTERM, stop at their next trial boundary, and the supervisor still
 // merges the partial job -- same contract as the serial campaign's
@@ -42,7 +47,7 @@ struct SupervisorOptions {
   /// --jobs=N" is appended.  Typically {"/proc/self/exe" resolved}.
   std::vector<std::string> worker_command;
   std::size_t worker_jobs = 1;   // intra-worker parallelism
-  double poll_s = 0.2;           // reap/health poll period
+  double poll_s = 0.2;           // longest wait between stop/health checks
   double backoff_s = 0.5;        // initial restart backoff (doubles, cap 16x)
   std::size_t max_restarts = 20; // per slot
   double health_interval_s = 2.0;  // job health.json period; 0 disables

@@ -44,13 +44,26 @@ int numeric_worker_id(const std::string& worker_id) {
   return static_cast<int>(std::strtol(worker_id.c_str() + digits, nullptr, 10));
 }
 
-void sleep_interruptible(double seconds, const Deadline& stop) {
-  const double slice = 0.05;
-  double remaining = seconds;
-  while (remaining > 0.0 && !stop.expired()) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(remaining < slice ? remaining : slice));
-    remaining -= slice;
+/// How often an idle worker checks the chunks it waits on.
+constexpr std::chrono::milliseconds kIdleCheck{10};
+
+/// Block until one of `waiting` -- chunks leased by other workers --
+/// loses its lease file or gains a done/quarantine marker, `max_s` passes,
+/// or `stop` fires.  The caller then scans again; `max_s` = heartbeat_s
+/// keeps expired leases reclaimed on the same schedule as a plain sleep.
+void wait_for_release(const JobPaths& paths,
+                      const std::vector<std::size_t>& waiting, double max_s,
+                      const Deadline& stop) {
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::duration<double>(max_s);
+  while (!stop.expired() && std::chrono::steady_clock::now() < until) {
+    for (const std::size_t c : waiting) {
+      if (!fs::exists(paths.lease(c)) || fs::exists(paths.done(c)) ||
+          fs::exists(paths.quarantine(c))) {
+        return;
+      }
+    }
+    std::this_thread::sleep_for(kIdleCheck);
   }
 }
 
@@ -154,12 +167,16 @@ WorkerReport run_worker(const core::StudyContext& ctx,
     }
     bool all_resolved = true;
     bool progress = false;
+    std::vector<std::size_t> leased_elsewhere;
     for (std::size_t c = 0; c < chunks && !opts.stop.expired(); ++c) {
       if (fs::exists(paths.done(c)) || fs::exists(paths.quarantine(c))) {
         continue;
       }
       all_resolved = false;
-      if (!leases.try_claim(c)) continue;
+      if (!leases.try_claim(c)) {
+        leased_elsewhere.push_back(c);
+        continue;
+      }
 
       // Re-check under the lease: another worker may have finished the
       // chunk between our existence check and the claim.
@@ -255,9 +272,10 @@ WorkerReport run_worker(const core::StudyContext& ctx,
     }
     if (report.stopped_early || all_resolved) break;
     if (!progress) {
-      // Every unresolved chunk is leased by someone else: wait for them to
-      // finish or for their leases to expire.
-      sleep_interruptible(spec.heartbeat_s, opts.stop);
+      // Every unresolved chunk is leased by someone else: scan again as
+      // soon as one is released or resolved, or after a heartbeat period
+      // at the latest, when an expired lease may be reclaimable.
+      wait_for_release(paths, leased_elsewhere, spec.heartbeat_s, opts.stop);
     }
   }
   if (opts.stop.expired()) report.stopped_early = true;

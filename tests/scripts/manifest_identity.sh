@@ -11,6 +11,10 @@
 #   --grid=8   8 layers x 8x8: below it, so steps use the RCM-reordered
 #              skyline Cholesky.
 #
+# Each binary also runs the --grid=8 campaign as a 4-worker shard fleet
+# (`--shards=4 --chunk=1 --job-dir=...`): its merged.jsonl must equal the
+# other binary's and the serial --grid=8 manifest.
+#
 # Then compares stdout and exit code of `contingency` on both routes of the
 # shared contingency engine: a synthesized 4-layer 12x12 stack (N-1 top-8
 # and a seeded Monte Carlo campaign) and an exhaustive N-1 sweep of each
@@ -30,6 +34,29 @@ ROOT=$(cd "$(dirname "$0")/../.." && pwd)
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/vstack_manifest_identity.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 
+# compare_manifests LABEL A B: fail unless manifests A and B are equal with
+# wall_seconds masked.
+compare_manifests() {
+  python3 - "$@" <<'EOF'
+import re, sys
+
+label, a_path, b_path = sys.argv[1:4]
+mask = lambda p: re.sub(r'("wall_seconds":)[^,}]*', r'\1X', open(p).read())
+a, b = mask(a_path), mask(b_path)
+if a != b:
+    for i, (x, y) in enumerate(zip(a.splitlines(), b.splitlines())):
+        if x != y:
+            print(f"FAIL {label}: manifests differ at line {i + 1}\n"
+                  f"  {a_path}: {x}\n  {b_path}: {y}")
+            break
+    else:
+        print(f"FAIL {label}: manifests differ in length")
+    sys.exit(1)
+lines = len(a.splitlines())
+print(f"{label}: manifests identical ({lines} lines, wall_seconds masked)")
+EOF
+}
+
 for grid in 16 8; do
   for side in base head; do
     cli=$BASE_CLI
@@ -38,25 +65,21 @@ for grid in 16 8; do
     "$cli" campaign --grid="$grid" --trials=4 --jobs=4 --timeout=0 \
         --manifest="$WORK/$side-$grid.jsonl" >/dev/null
   done
-  python3 - "$WORK/base-$grid.jsonl" "$WORK/head-$grid.jsonl" "$grid" <<'EOF'
-import re, sys
-
-base_path, head_path, grid = sys.argv[1], sys.argv[2], sys.argv[3]
-mask = lambda p: re.sub(r'("wall_seconds":)[^,}]*', r'\1X', open(p).read())
-base, head = mask(base_path), mask(head_path)
-if base != head:
-    for i, (b, h) in enumerate(zip(base.splitlines(), head.splitlines())):
-        if b != h:
-            print(f"FAIL grid={grid}: manifests differ at line {i + 1}\n"
-                  f"  base: {b}\n  head: {h}")
-            break
-    else:
-        print(f"FAIL grid={grid}: manifests differ in length")
-    sys.exit(1)
-lines = len(base.splitlines())
-print(f"grid={grid}: manifests identical ({lines} lines, wall_seconds masked)")
-EOF
+  compare_manifests "grid=$grid" "$WORK/base-$grid.jsonl" \
+      "$WORK/head-$grid.jsonl"
 done
+
+for side in base head; do
+  cli=$BASE_CLI
+  [ "$side" = head ] && cli=$HEAD_CLI
+  echo "== $side: campaign --grid=8 --shards=4 =="
+  "$cli" campaign --grid=8 --trials=4 --timeout=0 --shards=4 --chunk=1 \
+      --job-dir="$WORK/$side-job" >/dev/null
+  compare_manifests "$side: grid=8 sharded vs serial" \
+      "$WORK/$side-job/merged.jsonl" "$WORK/$side-8.jsonl"
+done
+compare_manifests "grid=8 sharded" "$WORK/base-job/merged.jsonl" \
+    "$WORK/head-job/merged.jsonl"
 
 pgio="$ROOT/tests/data/pgio"
 status=0

@@ -1,14 +1,18 @@
 // Shard workers (shard/worker.h) run in-process as threads: a two-worker
 // fleet must reproduce the serial campaign (modulo wall_seconds), a poison
-// chunk must be quarantined after max_attempts, and a stopped worker must
-// leave a job a later worker can finish.
+// chunk must be quarantined after max_attempts, a stopped worker must
+// leave a job a later worker can finish, and an idle worker must scan
+// again as soon as the chunk it waits on is released or resolved.
 #include "shard/worker.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -18,6 +22,7 @@
 #include "common/durable_file.h"
 #include "core/campaign.h"
 #include "shard/job.h"
+#include "shard/lease.h"
 #include "shard/merge.h"
 
 namespace vstack::shard {
@@ -44,12 +49,13 @@ JobSpec small_spec() {
   return spec;
 }
 
-JobPaths fresh_job(const std::string& tag) {
+JobPaths fresh_job(const std::string& tag,
+                   const JobSpec& spec = small_spec()) {
   const std::string dir = testing::TempDir() + "vstack_worker_" + tag + "_" +
                           std::to_string(::getpid());
   fs::remove_all(dir);
   const JobPaths paths(dir);
-  publish_plan(paths, small_spec(), job_config_hash(ctx(), small_spec()));
+  publish_plan(paths, spec, job_config_hash(ctx(), spec));
   return paths;
 }
 
@@ -178,6 +184,96 @@ TEST(RunWorkerTest, StoppedWorkerLeavesAJobASuccessorCanFinish) {
             mask_wall_seconds(serial_manifest_text()));
   fs::remove_all(paths.root);
 }
+
+/// How the test unblocks the chunk an idle worker waits on.
+enum class Unblock {
+  Release,     // drop the lease: the chunk becomes claimable
+  DoneMarker,  // write the done marker, keep the lease (the crash window
+               // lease.release.before_unlink leaves behind)
+};
+
+class IdleWorkerWakeTest : public testing::TestWithParam<Unblock> {};
+
+/// Seconds until `ready()` holds, checked every 10 ms for at most 300 s.
+double seconds_until(const std::function<bool()>& ready) {
+  const auto start = std::chrono::steady_clock::now();
+  const auto elapsed = [&] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  while (!ready() && elapsed() < 300.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return elapsed();
+}
+
+// The test holds chunk 4's lease while w1 runs chunks 0-3, then unblocks
+// chunk 4.  Heartbeats are 20 s apart and leases live 60 s, so a worker
+// that only scans again on its heartbeat misses the 5 s bound.  After a
+// release the bound is on the claim (w1's attempt record for chunk 4),
+// not on w1's return: under TSan running the trial alone can exceed 5 s.
+TEST_P(IdleWorkerWakeTest, ScansAgainWhenTheBlockingChunkResolves) {
+  JobSpec spec = small_spec();
+  spec.heartbeat_s = 20.0;
+  spec.lease_expiry_s = 60.0;
+  const bool release = GetParam() == Unblock::Release;
+  const JobPaths paths =
+      fresh_job(release ? "wake_release" : "wake_done", spec);
+
+  LeaseManager holder(paths, "holder", spec.lease_expiry_s, spec.heartbeat_s);
+  ASSERT_TRUE(holder.try_claim(4));
+
+  WorkerReport report;
+  std::atomic<bool> returned{false};
+  std::thread w1([&] {
+    WorkerOptions opt;
+    opt.job_dir = paths.root;
+    opt.worker_id = "w1";
+    report = run_worker(ctx(), opt);
+    returned = true;
+  });
+  const auto first_four_done = [&] {
+    for (std::size_t c = 0; c < 4; ++c) {
+      if (!fs::exists(paths.done(c))) return false;
+    }
+    return true;
+  };
+  seconds_until(first_four_done);
+  EXPECT_TRUE(first_four_done());
+  // Let w1 finish its scan and settle into the idle wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  if (release) {
+    holder.release(4);
+    EXPECT_LT(seconds_until([&] { return fs::exists(paths.attempts(4)); }),
+              5.0);
+  } else {
+    atomic_write_file(paths.done(4),
+                      "{\"chunk\":4,\"worker\":\"holder\",\"trials\":1}\n");
+    EXPECT_LT(seconds_until([&] { return returned.load(); }), 5.0);
+  }
+  w1.join();
+  EXPECT_FALSE(report.stopped_early);
+
+  if (release) {
+    EXPECT_EQ(report.chunks_completed, spec.trials);
+    const MergeReport merge = merge_job(ctx(), paths.root);
+    EXPECT_TRUE(merge.clean());
+    EXPECT_EQ(mask_wall_seconds(slurp(paths.merged())),
+              mask_wall_seconds(serial_manifest_text()));
+  } else {
+    EXPECT_EQ(report.chunks_completed, 4u);
+  }
+  fs::remove_all(paths.root);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BlockingChunk, IdleWorkerWakeTest,
+    testing::Values(Unblock::Release, Unblock::DoneMarker),
+    [](const testing::TestParamInfo<Unblock>& info) {
+      return info.param == Unblock::Release ? "Release" : "DoneMarker";
+    });
 
 }  // namespace
 }  // namespace vstack::shard
