@@ -1,86 +1,36 @@
 #include "em/array_mttf.h"
 
 #include <cmath>
-#include <limits>
 
 #include "common/error.h"
+#include "em/lognormal_array.h"
 
 namespace vstack::em {
 
-namespace {
-
-/// Shared solver: P(t) = target over per-conductor median TTFs.
-double solve_array_mttf(const std::vector<double>& median_ttfs,
-                        const ArrayMttfOptions& options) {
-  VS_REQUIRE(options.probability_target > 0.0 &&
-                 options.probability_target < 1.0,
+void ArrayMttfOptions::validate() const {
+  VS_REQUIRE(probability_target > 0.0 && probability_target < 1.0,
              "probability target must be in (0, 1)");
-  VS_REQUIRE(options.sigma > 0.0, "sigma must be positive");
-  VS_REQUIRE(!median_ttfs.empty(),
-             "array must contain at least one conductor");
-
-  double min_ttf = std::numeric_limits<double>::infinity();
-  for (const double t : median_ttfs) min_ttf = std::min(min_ttf, t);
-  if (std::isinf(min_ttf)) {
-    return std::numeric_limits<double>::infinity();  // no EM stress at all
-  }
-
-  const auto p_at = [&](double log_t) {
-    const double t = std::exp(log_t);
-    double log_survive = 0.0;
-    for (const double t50 : median_ttfs) {
-      const double f = lognormal_failure_cdf(t, t50, options.sigma);
-      if (f >= 1.0) return 1.0;
-      log_survive += std::log1p(-f);
-    }
-    return 1.0 - std::exp(log_survive);
-  };
-
-  // Bracket in log-time around the strongest conductor's median: the array
-  // fails no later than ~min_ttf and no earlier than many sigma before it.
-  double lo = std::log(min_ttf) - 20.0 * options.sigma;
-  double hi = std::log(min_ttf) + 20.0 * options.sigma;
-  VS_REQUIRE(p_at(lo) < options.probability_target,
-             "bracket lower bound already failed");
-  for (int k = 0; k < 60 && p_at(hi) < options.probability_target; ++k) {
-    hi += 5.0 * options.sigma;
-  }
-  VS_REQUIRE(p_at(hi) >= options.probability_target,
-             "failed to bracket the target probability");
-
-  while (hi - lo > options.relative_tolerance) {
-    const double mid = 0.5 * (lo + hi);
-    if (p_at(mid) < options.probability_target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return std::exp(0.5 * (lo + hi));
+  VS_REQUIRE(sigma > 0.0 && std::isfinite(sigma),
+             "sigma must be positive and finite");
+  VS_REQUIRE(relative_tolerance > 0.0 && std::isfinite(relative_tolerance),
+             "relative tolerance must be positive and finite");
 }
-
-}  // namespace
 
 double array_failure_probability(double time,
                                  const std::vector<double>& currents,
                                  const BlackModel& black, double sigma) {
   VS_REQUIRE(!currents.empty(), "array must contain at least one conductor");
-  double log_survive = 0.0;
-  for (const double i : currents) {
-    const double f = lognormal_failure_cdf(time, black.median_ttf(i), sigma);
-    if (f >= 1.0) return 1.0;
-    log_survive += std::log1p(-f);
-  }
-  return 1.0 - std::exp(log_survive);
+  detail::LognormalArray array;
+  for (const double i : currents) array.push(black.median_ttf(i));
+  return array.failure_probability(time, sigma);
 }
 
 double array_mttf(const std::vector<double>& currents, const BlackModel& black,
                   const ArrayMttfOptions& options) {
   VS_REQUIRE(!currents.empty(), "array must contain at least one conductor");
-  std::vector<double> ttfs;
-  ttfs.reserve(currents.size());
-  for (const double i : currents) ttfs.push_back(black.median_ttf(i));
-  return solve_array_mttf(ttfs, options);
+  detail::LognormalArray array;
+  for (const double i : currents) array.push(black.median_ttf(i));
+  return array.lifetime(options);
 }
 
 double array_mttf_at_temperatures(const std::vector<double>& currents,
@@ -90,12 +40,11 @@ double array_mttf_at_temperatures(const std::vector<double>& currents,
   VS_REQUIRE(!currents.empty(), "array must contain at least one conductor");
   VS_REQUIRE(currents.size() == temperatures.size(),
              "temperature vector must match current vector");
-  std::vector<double> ttfs;
-  ttfs.reserve(currents.size());
+  detail::LognormalArray array;
   for (std::size_t k = 0; k < currents.size(); ++k) {
-    ttfs.push_back(black.median_ttf(currents[k], temperatures[k]));
+    array.push(black.median_ttf(currents[k], temperatures[k]));
   }
-  return solve_array_mttf(ttfs, options);
+  return array.lifetime(options);
 }
 
 }  // namespace vstack::em

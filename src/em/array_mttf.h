@@ -14,12 +14,16 @@ namespace vstack::em {
 struct ArrayMttfOptions {
   double sigma = 0.5;              // lognormal shape parameter
   double probability_target = 0.5; // paper uses the P(t) = 0.5 crossing
-  double relative_tolerance = 1e-9;
+  double relative_tolerance = 1e-9;  // bisection stop on the log-time bracket
+
+  /// 0 < probability_target < 1; sigma and relative_tolerance positive and
+  /// finite.  Every array lifetime checks its options through this.
+  void validate() const;
 };
 
 /// Failure probability of the whole array at time t, given each conductor's
 /// current and the Black model.  Computed in log space for robustness with
-/// thousands of conductors.
+/// thousands of conductors, once per run of consecutive equal currents.
 double array_failure_probability(double time,
                                  const std::vector<double>& currents,
                                  const BlackModel& black, double sigma);

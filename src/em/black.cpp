@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/units.h"
+#include "em/lognormal_array.h"
 
 namespace vstack::em {
 
@@ -24,6 +25,7 @@ double BlackModel::median_ttf(double current,
   validate();
   VS_REQUIRE(temperature_kelvin > 0.0,
              "conductor temperature must be positive (kelvin)");
+  VS_REQUIRE(std::isfinite(current), "conductor current must be finite");
   const double magnitude = std::abs(current);
   if (magnitude == 0.0) return std::numeric_limits<double>::infinity();
   return prefactor * std::pow(magnitude, -current_exponent) *
@@ -37,8 +39,8 @@ double lognormal_failure_cdf(double time, double median_ttf, double sigma) {
   if (time == 0.0) return 0.0;
   if (std::isinf(median_ttf)) return 0.0;  // unstressed conductor
   VS_REQUIRE(median_ttf > 0.0, "median TTF must be positive");
-  const double z = (std::log(time) - std::log(median_ttf)) / sigma;
-  return 0.5 * std::erfc(-z / std::sqrt(2.0));
+  return detail::lognormal_cdf_of_logs(std::log(time), std::log(median_ttf),
+                                       sigma);
 }
 
 }  // namespace vstack::em

@@ -20,7 +20,8 @@ struct BlackModel {
   void validate() const;
 
   /// Median time to failure of a conductor carrying |current| amperes.
-  /// Returns +infinity for zero current (no EM stress).
+  /// Returns +infinity for zero current (no EM stress); a NaN or infinite
+  /// current is an error.
   double median_ttf(double current) const;
 
   /// Same, at an explicit conductor temperature [K] (thermal-EM coupling);

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/error.h"
+#include "em/lognormal_array.h"
 
 namespace vstack::em {
 
@@ -28,43 +29,11 @@ double cycling_array_lifetime(const std::vector<double>& delta_ts,
                               const ThermalCyclingModel& model,
                               const ArrayMttfOptions& options) {
   VS_REQUIRE(!delta_ts.empty(), "array must contain at least one bump");
-  // Reuse the EM array solver by expressing each bump's fatigue life as a
-  // lognormal median: map it through a Black model with unit current (the
-  // solver only consumes medians).
-  // Simplest faithful path: bisection over the group CDF, as in array_mttf.
-  double min_ttf = std::numeric_limits<double>::infinity();
-  std::vector<double> medians;
-  medians.reserve(delta_ts.size());
-  for (const double dt : delta_ts) {
-    const double t = model.time_to_failure(dt);
-    medians.push_back(t);
-    min_ttf = std::min(min_ttf, t);
-  }
-  if (std::isinf(min_ttf)) return min_ttf;
-
-  const auto p_at = [&](double log_t) {
-    const double t = std::exp(log_t);
-    double log_survive = 0.0;
-    for (const double t50 : medians) {
-      const double f = lognormal_failure_cdf(t, t50, options.sigma);
-      if (f >= 1.0) return 1.0;
-      log_survive += std::log1p(-f);
-    }
-    return 1.0 - std::exp(log_survive);
-  };
-
-  double lo = std::log(min_ttf) - 20.0 * options.sigma;
-  double hi = std::log(min_ttf) + 20.0 * options.sigma;
-  VS_REQUIRE(p_at(lo) < options.probability_target,
-             "bracket lower bound already failed");
-  for (int k = 0; k < 60 && p_at(hi) < options.probability_target; ++k) {
-    hi += 5.0 * options.sigma;
-  }
-  while (hi - lo > options.relative_tolerance) {
-    const double mid = 0.5 * (lo + hi);
-    (p_at(mid) < options.probability_target ? lo : hi) = mid;
-  }
-  return std::exp(0.5 * (lo + hi));
+  // Same first-failure statistics as the EM arrays: each bump's fatigue
+  // life is a lognormal median.
+  detail::LognormalArray array;
+  for (const double dt : delta_ts) array.push(model.time_to_failure(dt));
+  return array.lifetime(options);
 }
 
 double competing_risk_lifetime(double median_a, double sigma_a,

@@ -57,6 +57,14 @@ TEST(CyclingArrayTest, MoreBumpsFailSooner) {
             cycling_array_lifetime(many, m));
 }
 
+TEST(CyclingArrayTest, RejectsBadTarget) {
+  // The same option checks as the EM arrays.
+  ThermalCyclingModel m;
+  ArrayMttfOptions opts;
+  opts.probability_target = 1.5;
+  EXPECT_THROW(cycling_array_lifetime({25.0}, m, opts), Error);
+}
+
 TEST(CompetingRiskTest, DominatedByEarlierMechanism) {
   // When one mechanism fails 100x sooner, it sets the combined lifetime.
   const double combined = competing_risk_lifetime(1.0, 0.5, 100.0, 0.5);

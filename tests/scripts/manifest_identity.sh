@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Cross-build output identity: two vstack_cli binaries must write the same
 # campaign manifest bytes (wall_seconds masked -- it is real time) and
-# print the same contingency reports.
+# print the same contingency and figure reports.
 #
 # Runs `campaign --trials=4 --jobs=4 --timeout=0` with each binary at two
 # grid sizes, one per transient step path:
@@ -21,6 +21,13 @@
 # imported pgio fixture.  Monte Carlo on imported grids (`--netlist ...
 # --mc`) is left out on purpose: it moved onto core's sampler, so its draws
 # differ from builds before that change.
+#
+# Last, compares stdout and exit code of `report --jobs=4`: the figure
+# sweeps (Figs. 5a, 5b, 6, 7, 8), EM array lifetimes included.  The report
+# prints three significant digits, so an equal report does not prove equal
+# bits: the bitwise contract on array lifetimes is held by the
+# ArrayMttfBitIdentity tests (tests/em/array_mttf_test.cpp) and by the
+# bench/e2e `results`, which must equal the parent commit's exactly.
 #
 # A change that claims identical outputs runs this with the parent commit's
 # binary as BASE_CLI and its own as HEAD_CLI.
@@ -88,22 +95,23 @@ while read -r args; do
     cli=$BASE_CLI
     [ "$side" = head ] && cli=$HEAD_CLI
     code=0
-    # shellcheck disable=SC2086  # $args is a list of flags
-    "$cli" contingency $args </dev/null >"$WORK/$side.out" 2>&1 || code=$?
+    # shellcheck disable=SC2086  # $args is a subcommand and its flags
+    "$cli" $args </dev/null >"$WORK/$side.out" 2>&1 || code=$?
     echo "exit $code" >>"$WORK/$side.out"
   done
   if cmp -s "$WORK/base.out" "$WORK/head.out"; then
-    echo "contingency $args: output identical ($(tail -n 1 "$WORK/head.out"))"
+    echo "$args: output identical ($(tail -n 1 "$WORK/head.out"))"
   else
-    echo "FAIL contingency $args: output differs"
+    echo "FAIL $args: output differs"
     diff "$WORK/base.out" "$WORK/head.out" | head -n 20
     status=1
   fi
 done <<EOF
---layers=4 --grid=12 --top=8
---layers=4 --grid=12 --mc --trials=12 --faults=3 --seed=7
---netlist=$pgio/ladder4.spice --exhaustive
---netlist=$pgio/mesh3x3.spice --exhaustive
---netlist=$pgio/twonet_vias.spice --exhaustive
+contingency --layers=4 --grid=12 --top=8
+contingency --layers=4 --grid=12 --mc --trials=12 --faults=3 --seed=7
+contingency --netlist=$pgio/ladder4.spice --exhaustive
+contingency --netlist=$pgio/mesh3x3.spice --exhaustive
+contingency --netlist=$pgio/twonet_vias.spice --exhaustive
+report --jobs=4
 EOF
 exit $status
