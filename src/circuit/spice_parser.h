@@ -14,8 +14,12 @@
 //   .tran <step> <stop> [DC] [ADAPTIVE]
 //   .end
 //
-// Values accept SPICE suffixes (f p n u m k meg g t).  Node "0" or "gnd"
-// is ground; all other node names are created on first use.
+// Values follow the one number rule of common/text_input.h, shared with
+// pgio/reader: a finite, in-range strtod number of at most 63 characters,
+// optionally followed by exactly one magnitude suffix (f p n u m k meg g t,
+// any case) and nothing else -- "10uF", "1kk" and "1mil" are errors.  Tokens
+// are separated by blanks and tabs.  Ground aliases: "0" and "gnd", any
+// case; all other node names are lower-cased and created on first use.
 //
 // The parser is a hardened front-end: every rejection names the source, the
 // line, and the offending token ("netlist.sp:7: ..."), duplicate element
@@ -49,11 +53,8 @@ struct ParsedCircuit {
 ParsedCircuit parse_spice(const std::string& text,
                           const std::string& source_name = "<netlist>");
 
-/// Parse a single SPICE value with magnitude suffix ("4.7n", "1meg", "10").
-/// Throws vstack::Error on malformed, unknown-suffix, or non-finite values.
-double parse_spice_value(const std::string& token);
-
-/// Serialize a netlist back to the dialect (round-trip support).
+/// Serialize a netlist back to the dialect; every value reads back exactly
+/// (text::format_number).
 std::string write_spice(const ParsedCircuit& circuit);
 
 }  // namespace vstack::circuit

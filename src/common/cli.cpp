@@ -1,8 +1,10 @@
 #include "common/cli.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.h"
+#include "common/text_input.h"
 
 namespace vstack {
 
@@ -50,26 +52,16 @@ std::string CliArgs::get_string(const std::string& key,
 double CliArgs::get_double(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(it->second, &used);
-    VS_REQUIRE(used == it->second.size(),
-               "trailing characters in numeric option --" + key);
-    return v;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    VS_FAIL("option --" + key + " expects a number, got '" + it->second +
-            "'");
-  }
+  return text::parse_number(it->second, "option --" + key);
 }
 
 std::size_t CliArgs::get_size(const std::string& key,
                               std::size_t fallback) const {
-  const double v = get_double(key, static_cast<double>(fallback));
-  VS_REQUIRE(v >= 0.0 && v == static_cast<double>(static_cast<std::size_t>(v)),
-             "option --" + key + " expects a non-negative integer");
-  return static_cast<std::size_t>(v);
+  const auto it = options_.find(key);
+  if (it == options_.end()) return fallback;
+  return text::parse_count(it->second, 0,
+                           std::numeric_limits<std::size_t>::max(),
+                           "option --" + key);
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {

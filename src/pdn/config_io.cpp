@@ -1,168 +1,87 @@
 #include "pdn/config_io.h"
 
-#include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <set>
 #include <sstream>
 
 #include "common/error.h"
+#include "common/text_input.h"
 
 namespace vstack::pdn {
 
-namespace {
-
-std::string trim(const std::string& s) {
-  const auto first = s.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return "";
-  const auto last = s.find_last_not_of(" \t\r");
-  return s.substr(first, last - first + 1);
-}
-
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
-}
-
-/// Carries the location through the key handlers so every rejection reads
-/// "stackup config line N: ..." with the offending key and value.
-struct LineContext {
-  std::size_t line_no = 0;
-
-  [[noreturn]] void fail(const std::string& message) const {
-    VS_FAIL("stackup config line " + std::to_string(line_no) + ": " +
-            message);
-  }
-
-  double number(const std::string& key, const std::string& value) const {
-    double v = 0.0;
-    try {
-      std::size_t used = 0;
-      v = std::stod(value, &used);
-      if (used != value.size()) throw Error("trailing characters");
-    } catch (const std::exception&) {
-      fail("key '" + key + "' expects a number, got '" + value + "'");
-    }
-    if (!std::isfinite(v)) {
-      fail("key '" + key + "' must be finite, got '" + value + "'");
-    }
-    return v;
-  }
-
-  /// Non-negative whole number (layer counts, pad counts, grid sizes):
-  /// rejects fractions and negatives instead of silently truncating.
-  std::size_t integer(const std::string& key, const std::string& value,
-                      std::size_t min, std::size_t max) const {
-    const double v = number(key, value);
-    if (v < 0.0 || v != std::floor(v)) {
-      fail("key '" + key + "' expects a non-negative integer, got '" +
-           value + "'");
-    }
-    const auto n = static_cast<std::size_t>(v);
-    if (n < min || n > max) {
-      fail("key '" + key + "' must lie in [" + std::to_string(min) + ", " +
-           std::to_string(max) + "], got '" + value + "'");
-    }
-    return n;
-  }
-
-  TsvConfig tsv_by_name(const std::string& name) const {
-    const std::string n = lower(name);
-    if (n == "dense") return TsvConfig::dense();
-    if (n == "sparse") return TsvConfig::sparse();
-    if (n == "few") return TsvConfig::few();
-    fail("unknown tsv config '" + name + "' (dense|sparse|few)");
-  }
-};
-
-}  // namespace
-
-StackupConfig parse_stackup_config(const std::string& text,
+StackupConfig parse_stackup_config(const std::string& source_text,
                                    const StackupConfig& base) {
   StackupConfig cfg = base;
-  std::istringstream stream(text);
-  std::string raw;
-  LineContext ctx;
-  std::set<std::string> seen_keys;
-  while (std::getline(stream, raw)) {
-    ++ctx.line_no;
-    std::string line = raw;
-    const auto comment = line.find_first_of("#;");
-    if (comment != std::string::npos) line.erase(comment);
-    line = trim(line);
-    if (line.empty()) continue;
-
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      ctx.fail("'" + line + "' is not 'key = value'");
-    }
-    const std::string key = lower(trim(line.substr(0, eq)));
-    const std::string value = trim(line.substr(eq + 1));
-    if (key.empty()) ctx.fail("missing key before '='");
-    if (value.empty()) ctx.fail("key '" + key + "' has no value");
-    if (!seen_keys.insert(key).second) {
-      ctx.fail("duplicate key '" + key +
-               "' (each key may be set at most once)");
-    }
-
+  std::istringstream in(source_text);
+  text::KeyValueReader kv(in, "stackup config line ");
+  while (kv.next()) {
+    const std::string& key = kv.key();
+    const std::string value(kv.value());
+    const std::string v = text::lower(value);
     if (key == "topology") {
-      const std::string v = lower(value);
       if (v == "regular") {
         cfg.topology = PdnTopology::Regular3d;
       } else if (v == "stacked" || v == "voltage-stacked") {
         cfg.topology = PdnTopology::VoltageStacked;
       } else {
-        ctx.fail("unknown topology '" + value + "' (regular|stacked)");
+        kv.fail("unknown topology '" + value + "' (regular|stacked)");
       }
     } else if (key == "layers") {
-      cfg.layer_count = ctx.integer(key, value, 1, 1024);
+      cfg.layer_count = kv.count(1, 1024);
     } else if (key == "vdd") {
-      cfg.vdd = ctx.number(key, value);
+      cfg.vdd = kv.number();
       if (cfg.vdd <= 0.0 || cfg.vdd > 100.0) {
-        ctx.fail("vdd must lie in (0, 100] volts, got '" + value + "'");
+        kv.fail("vdd must lie in (0, 100] volts, got '" + value + "'");
       }
     } else if (key == "tsv") {
-      cfg.tsv = ctx.tsv_by_name(value);
+      if (v == "dense") {
+        cfg.tsv = TsvConfig::dense();
+      } else if (v == "sparse") {
+        cfg.tsv = TsvConfig::sparse();
+      } else if (v == "few") {
+        cfg.tsv = TsvConfig::few();
+      } else {
+        kv.fail("unknown tsv config '" + value + "' (dense|sparse|few)");
+      }
     } else if (key == "power_c4_fraction") {
-      cfg.power_c4_fraction = ctx.number(key, value);
+      cfg.power_c4_fraction = kv.number();
       if (cfg.power_c4_fraction <= 0.0 || cfg.power_c4_fraction > 1.0) {
-        ctx.fail("power_c4_fraction is the fraction of C4 bumps carrying "
-                 "power and must lie in (0, 1], got '" + value + "'");
+        kv.fail("power_c4_fraction is the fraction of C4 bumps carrying "
+                "power and must lie in (0, 1], got '" + value + "'");
       }
     } else if (key == "vdd_pads_per_core") {
-      cfg.vdd_pads_per_core = ctx.integer(key, value, 1, 1'000'000);
+      cfg.vdd_pads_per_core = kv.count(1, 1'000'000);
     } else if (key == "converters_per_core") {
-      cfg.converters_per_core = ctx.integer(key, value, 0, 1'000'000);
+      cfg.converters_per_core = kv.count(0, 1'000'000);
     } else if (key == "converter_reference") {
-      const std::string v = lower(value);
       if (v == "ideal") {
         cfg.converter_reference = ConverterReference::IdealRails;
       } else if (v == "adjacent") {
         cfg.converter_reference = ConverterReference::AdjacentRails;
       } else {
-        ctx.fail("unknown converter_reference '" + value +
-                 "' (ideal|adjacent)");
+        kv.fail("unknown converter_reference '" + value +
+                "' (ideal|adjacent)");
       }
     } else if (key == "control") {
-      const std::string v = lower(value);
       if (v == "open") {
         cfg.converter.control = sc::ControlPolicy::OpenLoop;
       } else if (v == "closed") {
         cfg.converter.control = sc::ControlPolicy::ClosedLoop;
       } else {
-        ctx.fail("unknown control '" + value + "' (open|closed)");
+        kv.fail("unknown control '" + value + "' (open|closed)");
       }
     } else if (key == "grid") {
       // An NxN per-layer grid: bound N so a typo ("grid = 1e6") fails here
       // instead of exhausting memory building the network.
-      const auto n = ctx.integer(key, value, 2, 1024);
+      const auto n = kv.count(2, 1024);
       cfg.grid_nx = cfg.grid_ny = n;
     } else {
-      ctx.fail("unknown config key '" + key + "'");
+      kv.fail("unknown config key '" + key + "'");
     }
   }
-  cfg.validate();
+  try {
+    cfg.validate();
+  } catch (const Error& e) {
+    VS_FAIL(std::string("stackup config: ") + e.what());
+  }
   return cfg;
 }
 
@@ -171,12 +90,13 @@ std::string write_stackup_config(const StackupConfig& config) {
   oss << "topology = "
       << (config.is_voltage_stacked() ? "stacked" : "regular") << "\n";
   oss << "layers = " << config.layer_count << "\n";
-  oss << "vdd = " << config.vdd << "\n";
+  oss << "vdd = " << text::format_number(config.vdd) << "\n";
   const std::string tsv = config.tsv.name == "Dense TSV"    ? "dense"
                           : config.tsv.name == "Sparse TSV" ? "sparse"
                                                             : "few";
   oss << "tsv = " << tsv << "\n";
-  oss << "power_c4_fraction = " << config.power_c4_fraction << "\n";
+  oss << "power_c4_fraction = "
+      << text::format_number(config.power_c4_fraction) << "\n";
   oss << "vdd_pads_per_core = " << config.vdd_pads_per_core << "\n";
   oss << "converters_per_core = " << config.converters_per_core << "\n";
   oss << "converter_reference = "

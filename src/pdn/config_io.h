@@ -13,7 +13,11 @@
 //   control = open              ; open | closed
 //   grid = 32
 //
-// Unknown keys are errors; omitted keys keep their defaults.
+// Unknown keys are errors; omitted keys keep their defaults.  The lexing
+// (comments, `key = value`, repeated keys, numbers and counts) is
+// text::KeyValueReader (common/text_input.h); rejections read
+// "stackup config line N: ...", and a config that fails
+// StackupConfig::validate() reads "stackup config: ...".
 #pragma once
 
 #include <string>
@@ -26,7 +30,8 @@ namespace vstack::pdn {
 StackupConfig parse_stackup_config(const std::string& text,
                                    const StackupConfig& base = {});
 
-/// Serialize a configuration to the same format (round-trip capable).
+/// Serialize a configuration to the same format; every value reads back
+/// exactly (text::format_number), so equal text means an equal config.
 std::string write_stackup_config(const StackupConfig& config);
 
 }  // namespace vstack::pdn

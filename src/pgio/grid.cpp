@@ -234,7 +234,7 @@ std::size_t ImportedGrid::find_root(std::size_t node) const {
 }
 
 std::size_t ImportedGrid::slot_of(std::string_view name) const {
-  if (name == "0" || name == "gnd" || name == "GND" || name == "G") {
+  if (is_ground_name(name)) {
     return root_slot_[netlist_->nodes.size()];
   }
   const std::uint32_t id = netlist_->nodes.find(name);

@@ -121,7 +121,7 @@ std::vector<std::size_t> layer_histogram(const PgNetlist& netlist) {
 }
 
 bool GoldenSolution::lookup(std::string_view name, double* voltage) const {
-  if (name == "0" || name == "gnd" || name == "GND" || name == "G") {
+  if (is_ground_name(name)) {
     *voltage = 0.0;
     return true;
   }

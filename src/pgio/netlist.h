@@ -18,9 +18,16 @@
 
 namespace vstack::pgio {
 
-/// Sentinel node id for the ground net ("0" / "gnd" / "G"); ground is never
-/// interned into a NodeTable.
+/// Sentinel node id for the ground net; ground is never interned into a
+/// NodeTable.
 inline constexpr std::uint32_t kGroundNode = 0xFFFFFFFFu;
+
+/// The ground net's spellings, the one list the reader, ImportedGrid and
+/// GoldenSolution share: "0", "gnd", "GND", "Gnd", "G".
+inline bool is_ground_name(std::string_view name) {
+  return name == "0" || name == "gnd" || name == "GND" || name == "Gnd" ||
+         name == "G";
+}
 
 /// String-interning node table: one append-only character arena plus an
 /// open-addressing hash index.  Ids are dense (0..size) in first-seen
@@ -119,7 +126,7 @@ struct GoldenSolution {
   std::size_t size() const { return voltages.size(); }
 
   /// Voltage of `name`; false when the solution does not list it.  Ground
-  /// aliases ("0", "gnd", "G") report 0 V.
+  /// (is_ground_name) reports 0 V.
   bool lookup(std::string_view name, double* voltage) const;
 };
 

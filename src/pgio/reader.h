@@ -16,14 +16,19 @@
 //   .op / .end                       ; accepted; content after .end rejected
 //
 // L cards (the transient benchmark variants) are rejected with a
-// diagnostic naming the documented subset.  Node "0" / "gnd" / "G" is
-// ground.  Values accept SPICE magnitude suffixes (f p n u m k meg g t).
+// diagnostic naming the documented subset.  Ground is any of the aliases
+// "0", "gnd", "GND", "Gnd", "G" (is_ground_name in pgio/netlist.h).
 //
-// Hardened front-end, following circuit/spice_parser + pdn/config_io:
-// every rejection reads "<source>:<line>: <what>" with the offending
-// token; duplicate element names, duplicate/conflicting pad definitions,
-// non-finite or out-of-range values, and memory-bomb inputs (node,
-// element, name-byte and line-length budgets) all fail here with an
+// Lexing is common/text_input.h, shared with circuit/spice_parser: tokens
+// are separated by blanks and tabs, and values follow the one number rule
+// -- a finite, in-range strtod number of at most 63 characters, optionally
+// followed by exactly one magnitude suffix (f p n u m k meg g t, any case)
+// and nothing else ("1kk", "10uF" and "1e-400" are errors).
+//
+// Hardened front-end: every rejection reads "<source>:<line>: <what>" with
+// the offending token; duplicate element names, duplicate/conflicting pad
+// definitions, non-finite or out-of-range values, and memory-bomb inputs
+// (node, element, name-byte and line-length budgets) all fail here with an
 // actionable message instead of deep inside the solver.  The pass is
 // single-scan and allocation-frugal: one reused line buffer, string_view
 // tokens, and the interning NodeTable -- ingesting a million-node netlist
@@ -33,7 +38,6 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 
 #include "pgio/netlist.h"
 
@@ -47,11 +51,6 @@ struct ReadOptions {
   std::size_t max_elements = 100'000'000;
   std::size_t max_name_bytes = 1ull << 30;  // interned node-name arena
   std::size_t max_line_length = 8192;
-
-  /// Reject duplicate element names (one interned-name table over the
-  /// element cards).  Costs ~name bytes of memory; leave on except for
-  /// trusted machine-generated streams.
-  bool check_duplicate_elements = true;
 };
 
 /// Parse a netlist from a stream in one pass.  Throws vstack::Error with a
@@ -76,9 +75,5 @@ GoldenSolution read_solution_file(const std::string& path,
 GoldenSolution read_solution_text(const std::string& text,
                                   const std::string& source_name = "<solution>",
                                   const ReadOptions& options = {});
-
-/// Parse one SPICE-suffixed numeric token ("4.7n", "1meg", "1.5e-2").
-/// Throws vstack::Error on malformed, unknown-suffix or non-finite values.
-double parse_grid_value(std::string_view token);
 
 }  // namespace vstack::pgio

@@ -1,73 +1,13 @@
 #include "service/request.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <set>
 #include <sstream>
 
 #include "common/error.h"
+#include "common/text_input.h"
 
 namespace vstack::service {
-
-namespace {
-
-std::string trim(const std::string& s) {
-  const auto first = s.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return "";
-  const auto last = s.find_last_not_of(" \t\r");
-  return s.substr(first, last - first + 1);
-}
-
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
-}
-
-/// Same reporting shape as pdn/config_io.cpp: every rejection names the
-/// source and line so a bad spool file is a one-look fix.
-struct LineContext {
-  const std::string* source = nullptr;
-  std::size_t line_no = 0;
-
-  [[noreturn]] void fail(const std::string& message) const {
-    VS_FAIL("service request " + *source + " line " +
-            std::to_string(line_no) + ": " + message);
-  }
-
-  double number(const std::string& key, const std::string& value) const {
-    double v = 0.0;
-    try {
-      std::size_t used = 0;
-      v = std::stod(value, &used);
-      if (used != value.size()) throw Error("trailing characters");
-    } catch (const std::exception&) {
-      fail("key '" + key + "' expects a number, got '" + value + "'");
-    }
-    if (!std::isfinite(v)) {
-      fail("key '" + key + "' must be finite, got '" + value + "'");
-    }
-    return v;
-  }
-
-  std::size_t integer(const std::string& key, const std::string& value,
-                      std::size_t min, std::size_t max) const {
-    const double v = number(key, value);
-    if (v < 0.0 || v != std::floor(v)) {
-      fail("key '" + key + "' expects a non-negative integer, got '" + value +
-           "'");
-    }
-    const auto n = static_cast<std::size_t>(v);
-    if (n < min || n > max) {
-      fail("key '" + key + "' must lie in [" + std::to_string(min) + ", " +
-           std::to_string(max) + "], got '" + value + "'");
-    }
-    return n;
-  }
-};
-
-}  // namespace
 
 const char* to_string(RequestKind kind) {
   switch (kind) {
@@ -110,96 +50,80 @@ void RequestSpec::validate() const {
   }
 }
 
-RequestSpec parse_request(const std::string& text, const std::string& id,
+RequestSpec parse_request(const std::string& source_text,
+                          const std::string& id,
                           const std::string& source_name) {
   RequestSpec spec;
   spec.id = id;
   bool have_kind = false;
-  std::set<std::string> seen;
 
-  LineContext ctx;
-  ctx.source = &source_name;
-  std::istringstream in(text);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    ++ctx.line_no;
-    // Strip comments ('#' or ';' to end of line), then blank-skip.
-    const auto hash = raw.find_first_of("#;");
-    if (hash != std::string::npos) raw.erase(hash);
-    const std::string line = trim(raw);
-    if (line.empty()) continue;
-
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      ctx.fail("expected 'key = value', got '" + line + "'");
-    }
-    const std::string key = lower(trim(line.substr(0, eq)));
-    const std::string value = trim(line.substr(eq + 1));
-    if (key.empty()) ctx.fail("empty key");
-    if (value.empty()) ctx.fail("key '" + key + "' has an empty value");
-    if (!seen.insert(key).second) ctx.fail("duplicate key '" + key + "'");
-
+  std::istringstream in(source_text);
+  text::KeyValueReader kv(in, "service request " + source_name + " line ");
+  while (kv.next()) {
+    const std::string& key = kv.key();
+    const std::string value(kv.value());
+    const std::string v = text::lower(value);
     if (key == "id") {
       if (value != id) {
-        ctx.fail("id '" + value + "' does not match the spool name '" + id +
-                 "'");
+        kv.fail("id '" + value + "' does not match the spool name '" + id +
+                "'");
       }
     } else if (key == "kind") {
-      const std::string v = lower(value);
       if (v == "campaign") spec.kind = RequestKind::Campaign;
       else if (v == "contingency") spec.kind = RequestKind::Contingency;
       else if (v == "sweep") spec.kind = RequestKind::Sweep;
       else if (v == "ride-through") spec.kind = RequestKind::RideThrough;
-      else ctx.fail("unknown kind '" + value +
-                    "' (campaign|contingency|sweep|ride-through)");
+      else kv.fail("unknown kind '" + value +
+                   "' (campaign|contingency|sweep|ride-through)");
       have_kind = true;
     } else if (key == "topology") {
-      const std::string v = lower(value);
       if (v == "stacked") spec.stacked = true;
       else if (v == "regular") spec.stacked = false;
-      else ctx.fail("unknown topology '" + value + "' (stacked|regular)");
+      else kv.fail("unknown topology '" + value + "' (stacked|regular)");
     } else if (key == "layers") {
-      spec.layers = ctx.integer(key, value, 1, 64);
+      spec.layers = kv.count(1, 64);
     } else if (key == "grid") {
-      spec.grid = ctx.integer(key, value, 2, 512);
+      spec.grid = kv.count(2, 512);
     } else if (key == "imbalance") {
-      spec.imbalance = ctx.number(key, value);
+      spec.imbalance = kv.number();
     } else if (key == "trials") {
-      spec.trials = ctx.integer(key, value, 1, 100000);
+      spec.trials = kv.count(1, 100000);
     } else if (key == "faults") {
-      spec.faults_per_trial = ctx.integer(key, value, 0, 1024);
+      spec.faults_per_trial = kv.count(0, 1024);
     } else if (key == "seed") {
-      spec.seed = ctx.integer(key, value, 0, 1ull << 62);
+      spec.seed = kv.count(0, 1ull << 62);
     } else if (key == "duration_s") {
-      spec.duration_s = ctx.number(key, value);
+      spec.duration_s = kv.number();
       if (spec.duration_s <= 0.0) {
-        ctx.fail("key 'duration_s' must be positive");
+        kv.fail("key 'duration_s' must be positive");
       }
     } else if (key == "mode") {
-      const std::string v = lower(value);
       if (v == "mc" || v == "monte-carlo") spec.monte_carlo = true;
       else if (v == "n-1") spec.monte_carlo = false;
-      else ctx.fail("unknown mode '" + value + "' (mc|n-1)");
+      else kv.fail("unknown mode '" + value + "' (mc|n-1)");
     } else if (key == "figure") {
-      spec.figure = lower(value);
+      spec.figure = v;
     } else if (key == "fault_level") {
-      spec.fault_level = ctx.integer(key, value, 0, 63);
+      spec.fault_level = kv.count(0, 63);
     } else if (key == "keep") {
-      spec.keep = ctx.integer(key, value, 0, 100000);
+      spec.keep = kv.count(0, 100000);
     } else if (key == "fault_time_s") {
-      spec.fault_time_s = ctx.number(key, value);
+      spec.fault_time_s = kv.number();
     } else if (key == "deadline_s") {
-      spec.deadline_s = ctx.number(key, value);
-      if (spec.deadline_s < 0.0) ctx.fail("key 'deadline_s' must be >= 0");
+      spec.deadline_s = kv.number();
+      if (spec.deadline_s < 0.0) kv.fail("key 'deadline_s' must be >= 0");
     } else if (key == "jobs") {
-      spec.jobs = ctx.integer(key, value, 0, 4096);
+      spec.jobs = kv.count(0, 4096);
     } else {
-      ctx.fail("unknown key '" + key + "'");
+      kv.fail("unknown key '" + key + "'");
     }
   }
 
-  ctx.line_no += 1;  // report end-of-file complaints past the last line
-  if (!have_kind) ctx.fail("missing required key 'kind'");
+  // Report end-of-file complaints past the last line.
+  if (!have_kind) {
+    VS_FAIL(kv.lines().where(kv.lines().line_no() + 1) +
+            "missing required key 'kind'");
+  }
   try {
     spec.validate();
   } catch (const Error& e) {
@@ -215,17 +139,17 @@ std::string write_request(const RequestSpec& spec) {
       << "topology = " << (spec.stacked ? "stacked" : "regular") << "\n"
       << "layers = " << spec.layers << "\n"
       << "grid = " << spec.grid << "\n"
-      << "imbalance = " << spec.imbalance << "\n"
+      << "imbalance = " << text::format_number(spec.imbalance) << "\n"
       << "trials = " << spec.trials << "\n"
       << "faults = " << spec.faults_per_trial << "\n"
       << "seed = " << spec.seed << "\n"
-      << "duration_s = " << spec.duration_s << "\n"
+      << "duration_s = " << text::format_number(spec.duration_s) << "\n"
       << "mode = " << (spec.monte_carlo ? "mc" : "n-1") << "\n"
       << "figure = " << spec.figure << "\n"
       << "fault_level = " << spec.fault_level << "\n"
       << "keep = " << spec.keep << "\n"
-      << "fault_time_s = " << spec.fault_time_s << "\n"
-      << "deadline_s = " << spec.deadline_s << "\n"
+      << "fault_time_s = " << text::format_number(spec.fault_time_s) << "\n"
+      << "deadline_s = " << text::format_number(spec.deadline_s) << "\n"
       << "jobs = " << spec.jobs << "\n";
   return oss.str();
 }

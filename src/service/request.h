@@ -1,6 +1,6 @@
 // Analysis-request descriptions for the campaign service (vstack_cli serve).
 //
-// A request is a plain-text key = value file (the stackup-config grammar of
+// A request is a plain-text key = value file (text::KeyValueReader, as for
 // pdn/config_io.h: '#'/';' comments, unknown keys are errors, every
 // rejection carries its line number) describing ONE analysis to run:
 //
@@ -79,7 +79,7 @@ struct RequestSpec {
 RequestSpec parse_request(const std::string& text, const std::string& id,
                           const std::string& source_name);
 
-/// Serialize back to the same format (round-trip capable; test aid and
+/// Serialize back to the same format, every value exactly (test aid and
 /// template generator for `vstack_cli serve --example`).
 std::string write_request(const RequestSpec& spec);
 

@@ -7,29 +7,6 @@
 namespace vstack::circuit {
 namespace {
 
-TEST(SpiceValueTest, PlainNumbers) {
-  EXPECT_DOUBLE_EQ(parse_spice_value("10"), 10.0);
-  EXPECT_DOUBLE_EQ(parse_spice_value("-2.5"), -2.5);
-  EXPECT_DOUBLE_EQ(parse_spice_value("1e-3"), 1e-3);
-}
-
-TEST(SpiceValueTest, MagnitudeSuffixes) {
-  EXPECT_DOUBLE_EQ(parse_spice_value("4.7n"), 4.7e-9);
-  EXPECT_DOUBLE_EQ(parse_spice_value("10p"), 10e-12);
-  EXPECT_DOUBLE_EQ(parse_spice_value("3f"), 3e-15);
-  EXPECT_DOUBLE_EQ(parse_spice_value("2u"), 2e-6);
-  EXPECT_DOUBLE_EQ(parse_spice_value("50m"), 50e-3);
-  EXPECT_DOUBLE_EQ(parse_spice_value("1k"), 1e3);
-  EXPECT_DOUBLE_EQ(parse_spice_value("1meg"), 1e6);
-  EXPECT_DOUBLE_EQ(parse_spice_value("2g"), 2e9);
-}
-
-TEST(SpiceValueTest, RejectsGarbage) {
-  EXPECT_THROW(parse_spice_value("abc"), Error);
-  EXPECT_THROW(parse_spice_value("1x"), Error);
-  EXPECT_THROW(parse_spice_value(""), Error);
-}
-
 constexpr const char* kDividerNetlist = R"(
 * a simple divider with a cap
 .title divider test
@@ -195,6 +172,44 @@ R1 out 0 1k
       r.average_node_voltage(c.node_by_name.at("out"), 15e-6);
   EXPECT_GT(v_out, 0.3);
   EXPECT_LT(v_out, 1.0);
+}
+
+// Values follow the number rule shared with pgio (common/text_input.h): a
+// magnitude suffix must end the token, literals must be in range, numeric
+// tokens are at most 63 characters and only blanks and tabs separate
+// tokens.  Each of these netlists was accepted before the rule was shared.
+TEST(SpiceParserTest, SharedNumberRuleRejections) {
+  const std::string digits64(64, '1');
+  const std::string corpus[] = {
+      "R1 a 0 1kk\n",       // read as 1e3
+      "C1 a 0 10uF\n",      // read as 1e-5
+      "R1 a 0 1mil\n",      // read as 1e-3, not SPICE's 25.4e-6
+      "I1 a 0 5mA\n",       // read as 5e-3
+      "R1 a 0 1megohm\n",   // read as 1e6
+      "R1 a 0 1e300t\n",    // scaled to +inf
+      "V1 a 0 1e-300f\n",   // scaled to a subnormal
+      "R1 a 0 " + digits64 + "\n",
+      "R1 a\v0 1k\n",       // '\v' no longer separates tokens
+      "R1 a 0\f1k\n",
+  };
+  for (const std::string& text : corpus) {
+    EXPECT_THROW(parse_spice(text, "rule.sp"), Error)
+        << "accepted: " << text;
+  }
+}
+
+TEST(SpiceParserTest, RoundTripIsBitExact) {
+  const auto original = parse_spice(
+      "V1 in 0 1.0000001\nR1 in mid 0.333333333333333315\n"
+      "C1 mid 0 2.2e-9 IC=0.1\nS1 mid out 0.1 1e9 PHASE=0.3 DUTY=0.45\n"
+      "R2 out 0 1k\nI1 out 0 1e-3\n.clock 1e-8\n.tran 3.3e-11 1e-7\n");
+  const auto reparsed = parse_spice(write_spice(original));
+  EXPECT_EQ(write_spice(reparsed), write_spice(original));
+  EXPECT_EQ(reparsed.netlist.voltage_sources()[0].voltage, 1.0000001);
+  EXPECT_EQ(reparsed.netlist.resistors()[0].resistance, 1.0 / 3.0);
+  EXPECT_EQ(reparsed.netlist.capacitors()[0].capacitance, 2.2e-9);
+  EXPECT_EQ(reparsed.netlist.switches()[0].phase.phase_offset, 0.3);
+  EXPECT_EQ(reparsed.tran.time_step, 3.3e-11);
 }
 
 }  // namespace

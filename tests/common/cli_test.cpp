@@ -55,5 +55,17 @@ TEST(CliTest, RejectsDuplicatesAndMalformed) {
   EXPECT_THROW(make({"p", "--n=12x"}).get_double("n", 0.0), Error);
 }
 
+TEST(CliTest, NumbersFollowTheSharedRule) {
+  // Non-finite and out-of-range values are rejected like any malformed one.
+  for (const char* arg : {"--n=inf", "--n=nan", "--n=-inf", "--n=1e400",
+                          "--n=1e-320"}) {
+    EXPECT_THROW(make({"p", arg}).get_double("n", 0.0), Error) << arg;
+  }
+  for (const char* arg : {"--n=1e30", "--n=18446744073709551616", "--n=-1"}) {
+    EXPECT_THROW(make({"p", arg}).get_size("n", 0), Error) << arg;
+  }
+  EXPECT_EQ(make({"p", "--n=1e3"}).get_size("n", 0), 1000u);
+}
+
 }  // namespace
 }  // namespace vstack

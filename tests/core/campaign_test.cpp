@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "core/campaign_manifest.h"
 #include "power/workload.h"
 #include "telemetry/telemetry.h"
 
@@ -405,6 +406,17 @@ TEST(CampaignCompareTest, SurvivabilityTableCoversBothTopologies) {
   const std::string text = table.format();
   EXPECT_NE(text.find("stacked"), std::string::npos);
   EXPECT_NE(text.find("regular"), std::string::npos);
+}
+
+TEST(CampaignConfigHashTest, SeesSupplyVoltageBeyondSixDigits) {
+  // The hash covers the config through write_stackup_config, which must
+  // therefore print every digit that tells two supplies apart.
+  pdn::StackupConfig a = stacked4();
+  pdn::StackupConfig b = stacked4();
+  a.vdd = 1.0;
+  b.vdd = 1.0000001;
+  EXPECT_NE(campaign_config_hash(a, acts4(), fast_options()),
+            campaign_config_hash(b, acts4(), fast_options()));
 }
 
 }  // namespace

@@ -117,5 +117,41 @@ TEST(ConfigIoTest, CommentsAndWhitespaceTolerated) {
   EXPECT_EQ(cfg.layer_count, 4u);
 }
 
+TEST(ConfigIoTest, CountsAtOrAbove2To64AreRejected) {
+  // Converting these to std::size_t is undefined; they once read as 0.
+  for (const char* text : {"topology = regular\nconverters_per_core = 2e19\n",
+                           "topology = regular\nconverters_per_core = 1e30\n",
+                           "layers = 1e30\n", "grid = 1e300\n"}) {
+    EXPECT_THROW(parse_stackup_config(text), Error) << text;
+  }
+}
+
+TEST(ConfigIoTest, ValidationFailuresNameTheConfig) {
+  try {
+    parse_stackup_config("topology = stacked\nlayers = 1\n");
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("stackup config: "),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ConfigIoTest, RoundTripIsBitExact) {
+  StackupConfig original;
+  original.vdd = 1.0000001;
+  original.power_c4_fraction = 1.0 / 3.0;
+  const StackupConfig reparsed =
+      parse_stackup_config(write_stackup_config(original));
+  EXPECT_EQ(reparsed.vdd, original.vdd);
+  EXPECT_EQ(reparsed.power_c4_fraction, original.power_c4_fraction);
+  EXPECT_EQ(write_stackup_config(reparsed), write_stackup_config(original));
+  // Values exact at six digits keep the bytes they always had.
+  const std::string defaults = write_stackup_config(StackupConfig{});
+  EXPECT_NE(defaults.find("vdd = 1\n"), std::string::npos) << defaults;
+  EXPECT_NE(defaults.find("power_c4_fraction = 0.25\n"), std::string::npos)
+      << defaults;
+}
+
 }  // namespace
 }  // namespace vstack::pdn

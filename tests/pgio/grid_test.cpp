@@ -196,5 +196,23 @@ TEST(ImportedGrid, BackendsAgree) {
   }
 }
 
+TEST(ImportedGrid, EveryGroundAliasNamesGround) {
+  const PgNetlist n =
+      read_netlist_text("V1 a 0 1\nR1 a b 1\nR2 b Gnd 1\nI1 b G 0.1\n");
+  const ImportedGrid grid(n);
+  const GridSolution sol = grid.solve();
+  ASSERT_TRUE(sol.solve_ok) << sol.diagnostic;
+  const GoldenSolution golden = read_solution_text("a 1\nGnd 0\nG 0\n");
+  for (const char* alias : {"0", "gnd", "GND", "Gnd", "G"}) {
+    EXPECT_EQ(grid.slot_of(alias), grid.slot_of("0")) << alias;
+    double v = 1.0;
+    EXPECT_TRUE(grid.node_voltage(sol, alias, &v)) << alias;
+    EXPECT_EQ(v, 0.0) << alias;
+    v = 1.0;
+    EXPECT_TRUE(golden.lookup(alias, &v)) << alias;
+    EXPECT_EQ(v, 0.0) << alias;
+  }
+}
+
 }  // namespace
 }  // namespace vstack::pgio

@@ -125,5 +125,18 @@ TEST(MalformedSolution, Rejections) {
                        tight);
 }
 
+TEST(MalformedNetlist, OutOfRangeLiteralsFail) {
+  // Each underflows to a subnormal or to zero; 1e-400 used to become a
+  // zero-ohm via short.
+  expect_netlist_fail("R1 a b 1e-320\n", "<netlist>:1:", "out of range");
+  expect_netlist_fail("R1 a b 1e-400\n", "<netlist>:1:", "out of range");
+  expect_netlist_fail("I1 a 0 1e-300f\n", "<netlist>:1:", "out of range");
+  expect_netlist_fail("I1 a 0 1e300t\n", "<netlist>:1:", "non-finite");
+  expect_solution_fail("a 1e-320\n", "<solution>:1:", "out of range");
+  // Nothing may follow a magnitude suffix, an embedded NUL included.
+  expect_netlist_fail(std::string("R1 a b 1\0x\n", 11), "<netlist>:1:",
+                      "unknown value suffix");
+}
+
 }  // namespace
 }  // namespace vstack::pgio

@@ -1,4 +1,4 @@
-// Happy-path reader coverage: value suffixes, card bucketing, the via-short
+// Happy-path reader coverage: card bucketing, the via-short
 // idioms, ground aliases, pad sign conventions, and the golden-solution
 // parser.  Malformed inputs live in malformed_test.cpp.
 #include "pgio/reader.h"
@@ -9,29 +9,6 @@
 
 namespace vstack::pgio {
 namespace {
-
-TEST(ParseGridValue, SpiceSuffixes) {
-  EXPECT_DOUBLE_EQ(parse_grid_value("1.5"), 1.5);
-  EXPECT_DOUBLE_EQ(parse_grid_value("1.5e-2"), 0.015);
-  EXPECT_DOUBLE_EQ(parse_grid_value("100f"), 100e-15);
-  EXPECT_DOUBLE_EQ(parse_grid_value("5p"), 5e-12);
-  EXPECT_DOUBLE_EQ(parse_grid_value("4.7n"), 4.7e-9);
-  EXPECT_DOUBLE_EQ(parse_grid_value("3u"), 3e-6);
-  EXPECT_DOUBLE_EQ(parse_grid_value("2m"), 2e-3);
-  EXPECT_DOUBLE_EQ(parse_grid_value("1k"), 1e3);
-  EXPECT_DOUBLE_EQ(parse_grid_value("1meg"), 1e6);
-  EXPECT_DOUBLE_EQ(parse_grid_value("1g"), 1e9);
-  EXPECT_DOUBLE_EQ(parse_grid_value("2t"), 2e12);
-  EXPECT_DOUBLE_EQ(parse_grid_value("-0.5"), -0.5);
-}
-
-TEST(ParseGridValue, Rejections) {
-  EXPECT_THROW(parse_grid_value(""), Error);
-  EXPECT_THROW(parse_grid_value("abc"), Error);
-  EXPECT_THROW(parse_grid_value("1x"), Error);
-  EXPECT_THROW(parse_grid_value("1kk"), Error);
-  EXPECT_THROW(parse_grid_value("1e400"), Error);  // overflows to inf
-}
 
 TEST(ReadNetlist, BucketsCardsByRole) {
   const PgNetlist n = read_netlist_text(

@@ -22,12 +22,18 @@
 # --mc`) is left out on purpose: it moved onto core's sampler, so its draws
 # differ from builds before that change.
 #
-# Last, compares stdout and exit code of `report --jobs=4`: the figure
+# Then compares stdout and exit code of `report --jobs=4`: the figure
 # sweeps (Figs. 5a, 5b, 6, 7, 8), EM array lifetimes included.  The report
 # prints three significant digits, so an equal report does not prove equal
 # bits: the bitwise contract on array lifetimes is held by the
 # ArrayMttfBitIdentity tests (tests/em/array_mttf_test.cpp) and by the
 # bench/e2e `results`, which must equal the parent commit's exactly.
+#
+# Last, the text front ends (common/text_input.h): `import --solve` and
+# `validate` on each pgio fixture (netlist and .solution readers), `config`
+# (the stackup-config writer, whose bytes the campaign config hash covers)
+# and `spice` on the examples/spice_runner demo netlist, which this script
+# writes into its work directory.
 #
 # A change that claims identical outputs runs this with the parent commit's
 # binary as BASE_CLI and its own as HEAD_CLI.
@@ -89,6 +95,27 @@ compare_manifests "grid=8 sharded" "$WORK/base-job/merged.jsonl" \
     "$WORK/head-job/merged.jsonl"
 
 pgio="$ROOT/tests/data/pgio"
+# The built-in demo netlist of examples/spice_runner.cpp.
+cat >"$WORK/spice_runner_demo.sp" <<'EOF'
+.title built-in 2:1 SC halver demo
+* One push-pull cell: C1/C2 swap between the upper and lower positions.
+V1 vtop 0 2.0
+C1 c1t c1b 2n IC=1.0
+C2 c2t c2b 2n IC=1.0
+Cout vout 0 1n IC=1.0
+S1 c1t vtop 0.45 1g PHASE=0.0 DUTY=0.48
+S2 c1b vout 0.45 1g PHASE=0.0 DUTY=0.48
+S3 c2t vout 0.45 1g PHASE=0.0 DUTY=0.48
+S4 c2b 0    0.45 1g PHASE=0.0 DUTY=0.48
+S5 c1t vout 0.45 1g PHASE=0.5 DUTY=0.48
+S6 c1b 0    0.45 1g PHASE=0.5 DUTY=0.48
+S7 c2t vtop 0.45 1g PHASE=0.5 DUTY=0.48
+S8 c2b vout 0.45 1g PHASE=0.5 DUTY=0.48
+Iload vout 0 50m
+.clock 20n
+.tran 0.3125n 2u
+.end
+EOF
 status=0
 while read -r args; do
   for side in base head; do
@@ -113,5 +140,13 @@ contingency --netlist=$pgio/ladder4.spice --exhaustive
 contingency --netlist=$pgio/mesh3x3.spice --exhaustive
 contingency --netlist=$pgio/twonet_vias.spice --exhaustive
 report --jobs=4
+import $pgio/ladder4.spice --solve
+import $pgio/mesh3x3.spice --solve
+import $pgio/twonet_vias.spice --solve
+validate $pgio/ladder4.spice
+validate $pgio/mesh3x3.spice
+validate $pgio/twonet_vias.spice
+config
+spice $WORK/spice_runner_demo.sp
 EOF
 exit $status

@@ -143,5 +143,30 @@ TEST(RequestSpec, EstimatedBytesScalesWithJobs) {
   EXPECT_GT(big.estimated_bytes(1), spec.estimated_bytes(1));
 }
 
+TEST(RequestParse, CountsAtOrAbove2To64AreRejected) {
+  // Converting these to std::size_t is undefined; they once read as 0.
+  for (const char* line : {"seed = 1e30\n", "keep = 1e30\n", "jobs = 1e30\n",
+                           "fault_level = 1e30\n", "faults = 1e25\n"}) {
+    const std::string err = error_of(std::string("kind = campaign\n") + line);
+    EXPECT_NE(err.find("line 2"), std::string::npos) << line << err;
+  }
+}
+
+TEST(RequestParse, RoundTripIsBitExact) {
+  RequestSpec spec;
+  spec.id = "rt10";
+  spec.imbalance = 0.123456789;
+  spec.duration_s = 1.0 / 3.0 * 1e-6;
+  spec.fault_time_s = 1e-7 / 3.0;
+  spec.deadline_s = 12.345678901;
+  const RequestSpec back =
+      parse_request(write_request(spec), "rt10", "rt10.req");
+  EXPECT_EQ(back.imbalance, spec.imbalance);
+  EXPECT_EQ(back.duration_s, spec.duration_s);
+  EXPECT_EQ(back.fault_time_s, spec.fault_time_s);
+  EXPECT_EQ(back.deadline_s, spec.deadline_s);
+  EXPECT_EQ(write_request(back), write_request(spec));
+}
+
 }  // namespace
 }  // namespace vstack::service
