@@ -7,13 +7,10 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "telemetry/telemetry.h"
 
 namespace vstack::circuit {
 
 namespace {
-
-using telemetry::monotonic_seconds;
 
 /// Fractional part in [0, 1).
 double frac(double x) { return x - std::floor(x); }
@@ -305,31 +302,24 @@ TransientResult TransientSimulator::run_fixed(const TransientOptions& options) {
 
   // The historical footgun, now diagnosed: with a fixed grid, switch events
   // only land on step boundaries when the step divides the clock period.
-  if (!netlist_.switches().empty()) {
-    const double ratio = clock_period_ / h;
-    const double remainder = std::abs(ratio - std::llround(ratio));
-    if (remainder > 1e-6 * std::max(1.0, ratio)) {
-      std::ostringstream oss;
-      oss << "fixed time_step " << h
-          << " s does not divide the clock period " << clock_period_
-          << " s evenly (period/step = " << ratio
-          << "); switch edges would skew -- use period/N, or "
-             "SteppingMode::Adaptive which snaps onto edges";
-      VS_FAIL(oss.str());
-    }
+  if (!netlist_.switches().empty() && !sim::divides_evenly(clock_period_, h)) {
+    std::ostringstream oss;
+    oss << "fixed time_step " << h << " s does not divide the clock period "
+        << clock_period_ << " s evenly (period/step = " << clock_period_ / h
+        << "); switch edges would skew -- use period/N, or "
+           "SteppingMode::Adaptive which snaps onto edges";
+    VS_FAIL(oss.str());
   }
 
   Engine eng(netlist_);
   if (options.start_from_dc) eng.init_from_dc(switch_states(0.0));
 
-  const auto n_steps = static_cast<std::size_t>(
-      std::llround(options.stop_time / h));
-  eng.result.time.reserve(n_steps);
-  eng.result.node_voltages.reserve(n_steps);
-  eng.result.vsource_currents.reserve(n_steps);
+  const sim::FixedGrid grid(options.control, h, options.stop_time);
+  eng.result.time.reserve(grid.reserve());
+  eng.result.node_voltages.reserve(grid.reserve());
+  eng.result.vsource_currents.reserve(grid.reserve());
 
   sim::TransientReport& report = eng.result.report;
-  const double wall_start = monotonic_seconds();
   std::vector<bool> prev_state = switch_states(0.5 * h);
   std::vector<bool> faults_applied(options.switch_faults.size(), false);
   int backward_euler_steps = 2;  // start conservatively
@@ -338,25 +328,9 @@ TransientResult TransientSimulator::run_fixed(const TransientOptions& options) {
   std::vector<double> ieq(netlist_.capacitors().size());
   la::Vector x;
 
-  for (std::size_t step = 0; step < n_steps; ++step) {
-    const double t_new = static_cast<double>(step + 1) * h;
-    if (options.control.max_steps > 0 &&
-        report.accepted_steps >= options.control.max_steps) {
-      report.status = sim::TransientStatus::BudgetExhausted;
-      report.diagnostic = "step budget of " +
-                          std::to_string(options.control.max_steps) +
-                          " exhausted at t = " + std::to_string(t_new) +
-                          " s; result truncated";
-      break;
-    }
-    if (options.control.wall_clock_budget_s > 0.0 &&
-        monotonic_seconds() - wall_start >
-            options.control.wall_clock_budget_s) {
-      report.status = sim::TransientStatus::BudgetExhausted;
-      report.diagnostic = "wall-clock budget exhausted at t = " +
-                          std::to_string(t_new) + " s; result truncated";
-      break;
-    }
+  for (std::size_t step = 0; step < grid.steps(); ++step) {
+    const double t_new = grid.time(step);
+    if (!grid.admit(t_new, report)) break;
     // Evaluate switch state at the midpoint of the step so events that land
     // exactly on a boundary take effect in the step that follows them.
     const std::vector<bool> state =
@@ -393,11 +367,7 @@ TransientResult TransientSimulator::run_fixed(const TransientOptions& options) {
     report.end_time = t_new;
   }
 
-  report.min_dt = eng.result.time.empty() ? 0.0 : h;
-  report.max_dt = report.min_dt;
-  report.last_dt = report.min_dt;
-  report.wall_seconds = monotonic_seconds() - wall_start;
-  sim::record_transient_telemetry(report, wall_start);
+  grid.finish(report);
   return eng.result;
 }
 

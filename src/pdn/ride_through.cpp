@@ -224,8 +224,6 @@ RideThroughResult simulate_ride_through(
   // Private copy of the network; faults and supervisor actions mutate it.
   PdnNetwork net = model.network();
   detail::TransientWorkspace ws(net, topt);
-  detail::StepSolver solver(ws.system(), topt);
-  const std::size_t n = ws.n();
 
   std::vector<double> live_activities = activities;
   std::vector<LoadInjection> live_loads =
@@ -244,95 +242,36 @@ RideThroughResult simulate_ride_through(
     return result;
   }
 
-  la::Vector x(n, 0.0);
+  la::Vector x(ws.n(), 0.0);
   ws.init_states(dc, x);
 
   sc::StackSupervisor supervisor(options.supervisor, cfg.layer_count);
   ActionTranslator translator(net, options);
-
-  // Injected fault events, sorted by strike time.
-  std::vector<const TimedFaultEvent*> pending;
-  pending.reserve(topt.fault_events.size());
-  for (const auto& ev : topt.fault_events) {
-    if (!ev.activities.empty()) {
-      VS_REQUIRE(ev.activities.size() == cfg.layer_count,
-                 "fault-event activities must match layer count");
-    }
-    pending.push_back(&ev);
-  }
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const TimedFaultEvent* a, const TimedFaultEvent* b) {
-                     return a->time < b->time;
-                   });
-
-  const double dt_max = std::min(topt.time_step, topt.duration);
-  sim::StepController ctl(topt.control, 0.0, topt.duration, dt_max / 8.0,
-                          dt_max);
-  constexpr int kBeStartupSteps = 2;
-  int be_left = kBeStartupSteps;
-  const double event_tol = 1e-12 * topt.duration;
-
-  // Timeline: every fault instant plus the supervisor's sensing ticks, all
-  // landed on exactly by the step controller.
-  sim::EventSchedule schedule(topt.duration);
-  for (const auto* ev : pending) schedule.add_time(ev->time);
-  schedule.add_periodic(
-      sim::PeriodicEvents(options.supervisor.sense_interval, {0.0}));
-
-  std::size_t next_pending = 0;
-  double next_sense = options.supervisor.sense_interval;
   std::vector<double> layer_droop(cfg.layer_count, 0.0);
   std::vector<bool> layer_down(cfg.layer_count, false);
 
-  std::vector<double> cap_slope(ws.cap_voltages().size(), 0.0);
-  std::vector<double> v_new(cap_slope.size(), 0.0);
-  std::vector<double> v_pred(cap_slope.size(), 0.0);
-  la::Vector rhs(n, 0.0);
-  la::Vector candidate = x;
-  std::string diagnostic;
-
-  const auto record_sample = [&](double t, const la::Vector& sol) {
-    result.time.push_back(t);
-    result.worst_noise.push_back(ws.worst_noise_of(sol));
-    result.supply_current.push_back(ws.supply_inductor_current());
-  };
-
-  // Integration history is invalid across any discontinuity (fault, load
-  // change, supervisor mutation): BE restart at a reduced step.
-  const auto restart_integration = [&] {
-    be_left = kBeStartupSteps;
-    ctl.reset_dt(dt_max / 16.0);
-  };
-
-  while (!ctl.done() && !ctl.failed()) {
-    const double t = ctl.time();
-    bool discontinuity = false;
-
-    // 1. Injected fault events whose instant this boundary landed on.
-    while (next_pending < pending.size() &&
-           pending[next_pending]->time <= t + event_tol) {
-      const TimedFaultEvent& ev = *pending[next_pending++];
-      const std::string label = ev.label.empty() ? "fault event" : ev.label;
-      if (!ev.activities.empty()) {
-        live_activities = ev.activities;
+  // A load surge replaces the activities, except on shut-down layers.
+  bool discontinuity = false;
+  detail::FaultEventApplier events(
+      topt.fault_events, net, ws, [&](const std::vector<double>& surge) {
+        live_activities = surge;
         for (std::size_t l = 0; l < layer_down.size(); ++l) {
           if (layer_down[l]) live_activities[l] = 0.0;
         }
         live_loads = net.build_loads(core_model, live_activities);
         discontinuity = true;
-        ctl.report().record_event(t, "load surge '" + label + "' applied");
-      }
-      if (!ev.faults.empty()) {
-        ev.faults.apply_to(net);
-        ws.rebuild_topology();
-        discontinuity = true;
-        ctl.report().record_event(
-            t, "fault event '" + label + "' applied (" +
-                   std::to_string(ev.faults.size()) +
-                   " faults, topology epoch " +
-                   std::to_string(net.topology_epoch()) + ")");
-      }
-    }
+      });
+
+  const double event_tol = 1e-12 * topt.duration;
+  double next_sense = options.supervisor.sense_interval;
+
+  // Restart when a boundary changes the loads or the topology (fault,
+  // load surge, supervisor mutation); sense ticks are passive boundaries.
+  const auto boundary = [&](double t, bool /*on_event*/,
+                            sim::TransientReport& trail) {
+    discontinuity = false;
+    // 1. Injected fault events whose instant this boundary landed on.
+    if (events.apply_through(t, event_tol, trail)) discontinuity = true;
 
     // 2. Sensing plane: the supervisor samples the live solution at every
     // elapsed sense tick; its actions mutate the network / loads.
@@ -344,7 +283,7 @@ RideThroughResult simulate_ride_through(
       const auto fired = supervisor.observe(t, layer_droop);
       for (const auto& action : fired) {
         rep.actions.push_back(action);
-        ctl.report().record_event(t, "supervisor: " + action.describe());
+        trail.record_event(t, "supervisor: " + action.describe());
         const std::size_t down_before = rep.shutdown_layers.size();
         if (translator.apply(action, live_activities, rep.shutdown_layers)) {
           ws.rebuild_topology();
@@ -358,51 +297,18 @@ RideThroughResult simulate_ride_through(
       }
       next_sense += options.supervisor.sense_interval;
     }
-    if (discontinuity) restart_integration();
-
-    // 3. One integration step (same discipline as simulate_load_step's
-    // adaptive mode; sense ticks are passive boundaries, no restart).
-    const double dt = ctl.begin_step(schedule.next_after(t));
-    if (ctl.failed()) break;
-    const bool be = be_left > 0;
-    ws.build_rhs(live_loads, dt, be, rhs);
-    candidate = x;  // warm start; x stays the last accepted solution
-    if (!solver.solve(dt, be, rhs, candidate, t, ctl.report(), diagnostic)) {
-      ctl.reject_step("linear solve failure");
-      continue;
-    }
-    if (!sim::finite_and_bounded(candidate, topt.control.overflow_limit)) {
-      ctl.reject_step("NaN/overflow guard");
-      continue;
-    }
-    const auto& cap_v = ws.cap_voltages();
-    for (std::size_t l = 0; l < ws.layer_count(); ++l) {
-      for (std::size_t cell = 0; cell < ws.cells(); ++cell) {
-        const std::size_t k = l * ws.cells() + cell;
-        v_new[k] = candidate[net.vdd_node(l, cell)] -
-                   candidate[net.gnd_node(l, cell)];
-      }
-    }
-    double err = 0.0;
-    if (!be) {
-      for (std::size_t k = 0; k < cap_v.size(); ++k) {
-        v_pred[k] = cap_v[k] + cap_slope[k] * dt;
-      }
-      err = sim::error_norm(v_new, v_pred, topt.control.rel_tol,
-                            topt.control.abs_tol);
-    }
-    if (!ctl.finish_step(err, be ? 1 : 2)) continue;
-
-    for (std::size_t k = 0; k < cap_v.size(); ++k) {
-      cap_slope[k] = (v_new[k] - cap_v[k]) / dt;
-    }
-    ws.commit_states(candidate, dt, be);
-    x = candidate;
-    record_sample(ctl.time(), x);
-    if (be_left > 0) --be_left;
-  }
-  ctl.finalize();
-  rep.transient = ctl.report();
+    return discontinuity;
+  };
+  // The loop lands exactly on every sensing tick, as on every fault instant.
+  rep.transient = detail::run_adaptive(
+      ws, topt, {},
+      sim::PeriodicEvents(options.supervisor.sense_interval, {0.0}),
+      live_loads, x, boundary,
+      [&](double t, const la::Vector& sol) {
+        result.time.push_back(t);
+        result.worst_noise.push_back(ws.worst_noise_of(sol));
+        result.supply_current.push_back(ws.supply_inductor_current());
+      });
 
   // Final droop over the rails still alive.
   ws.worst_noise_of(x, &layer_droop);

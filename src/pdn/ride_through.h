@@ -1,11 +1,12 @@
 // Live fault ride-through: a transient PDN run with mid-run fault events
 // and the sc::StackSupervisor in the loop.
 //
-// The engine integrates the stacked (or regular) PDN exactly like
-// pdn::simulate_load_step's adaptive mode -- same companion models, same
-// epoch-keyed step solver, same guard/budget discipline -- but adds a
-// sensing plane: every supervisor sense_interval the per-layer worst droop
-// is sampled from the live solution and fed to the supervisor, whose
+// The engine integrates the stacked (or regular) PDN on the same loop as
+// pdn::simulate_load_step's adaptive mode (pdn::detail::run_adaptive) --
+// same companion models, same epoch-keyed step solver, same guard/budget
+// discipline, same fault-event applier -- and adds a sensing plane at its
+// step boundaries: every supervisor sense_interval the per-layer worst
+// droop is sampled from the live solution and fed to the supervisor, whose
 // abstract actions are translated into network mutations:
 //
 //   PhaseRebalance    -> surviving converter phases at the afflicted rails
@@ -22,7 +23,9 @@
 //                        is excluded from further droop sensing
 //
 // Every mutation bumps the network's topology epoch (invalidating the
-// factorization cache) and restarts integration across the discontinuity.
+// factorization cache) and restarts integration across the discontinuity;
+// so does a load change.  A sense tick that changes nothing is a passive
+// boundary.
 // The run never throws on numerical or fault trouble: the structured
 // RideThroughReport carries the detection time, the bounded action trail,
 // the worst droop, and a Recovered / Degraded / Lost classification.

@@ -1,8 +1,6 @@
 #include "pdn/transient.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -11,22 +9,6 @@
 #include "telemetry/telemetry.h"
 
 namespace vstack::pdn {
-
-namespace {
-
-using telemetry::monotonic_seconds;
-
-/// One pending one-shot event on the run's timeline: the built-in load step
-/// or an injected TimedFaultEvent (with its loads pre-built).
-struct PendingEvent {
-  double time = 0.0;
-  const FaultSet* faults = nullptr;  // null for the built-in load step
-  std::vector<LoadInjection> loads;
-  bool has_loads = false;
-  std::string label;
-};
-
-}  // namespace
 
 void PdnTransientOptions::validate() const {
   VS_REQUIRE(decap_density > 0.0, "decap density must be positive");
@@ -49,19 +31,18 @@ PdnTransientResult simulate_load_step(
     const PdnTransientOptions& options) {
   VS_SPAN("pdn.transient.load_step");
   options.validate();
-  const StackupConfig& cfg = model.config();
 
   // Private copy of the network: mid-run fault events mutate the topology,
   // and the caller's model (with its DC caches) must stay pristine.
   PdnNetwork net = model.network();
   detail::TransientWorkspace ws(net, options);
-  detail::StepSolver solver(ws.system(), options);
-  const std::size_t n = ws.n();
 
   // --- Initial condition: DC solve before the step. --------------------
-  const auto loads_before = net.build_loads(core_model, activities_before);
-  const auto loads_after = net.build_loads(core_model, activities_after);
-  const PdnSolution dc = model.solve(loads_before);
+  std::vector<LoadInjection> live_loads =
+      net.build_loads(core_model, activities_before);
+  VS_REQUIRE(activities_after.size() == model.config().layer_count,
+             "activity vector must match layer count");
+  const PdnSolution dc = model.solve(live_loads);
 
   PdnTransientResult result;
   if (!dc.solve_ok) {
@@ -71,72 +52,22 @@ PdnTransientResult simulate_load_step(
     return result;
   }
 
-  la::Vector x(n, 0.0);
+  la::Vector x(ws.n(), 0.0);
   ws.init_states(dc, x);
 
   result.initial_noise = ws.worst_noise_of(x);
   result.peak_noise = result.initial_noise;
   result.peak_time = 0.0;
 
-  // --- Unified one-shot timeline: load step + injected fault events. ---
-  std::vector<PendingEvent> pending;
-  {
-    PendingEvent step_event;
-    step_event.time = options.step_time;
-    step_event.loads = loads_after;
-    step_event.has_loads = true;
-    step_event.label = "load step";
-    pending.push_back(std::move(step_event));
-  }
-  for (const auto& ev : options.fault_events) {
-    PendingEvent p;
-    p.time = ev.time;
-    p.faults = &ev.faults;
-    if (!ev.activities.empty()) {
-      VS_REQUIRE(ev.activities.size() == cfg.layer_count,
-                 "fault-event activities must match layer count");
-      p.loads = net.build_loads(core_model, ev.activities);
-      p.has_loads = true;
-    }
-    p.label = ev.label.empty() ? "fault event" : ev.label;
-    pending.push_back(std::move(p));
-  }
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const PendingEvent& a, const PendingEvent& b) {
-                     return a.time < b.time;
-                   });
-
-  const std::vector<LoadInjection>* live_loads = &loads_before;
-  std::size_t next_pending = 0;
-  // Apply every event with time <= t (+tol); returns whether the topology
-  // changed (requiring an integration restart in adaptive mode).  The
-  // epoch-keyed solver cache rebuilds factorizations on its own.
-  const auto apply_events_through = [&](double t, double tol,
-                                        sim::TransientReport& report) {
-    bool topology_changed = false;
-    while (next_pending < pending.size() &&
-           pending[next_pending].time <= t + tol) {
-      const PendingEvent& ev = pending[next_pending++];
-      if (ev.has_loads) live_loads = &ev.loads;
-      if (ev.faults == nullptr) continue;  // built-in load step: no trail
-      if (ev.has_loads) {
-        report.record_event(t, "load surge '" + ev.label + "' applied");
-      }
-      if (!ev.faults->empty()) {
-        ev.faults->apply_to(net);
-        ws.rebuild_topology();
-        topology_changed = true;
-        report.record_event(
-            t, "fault event '" + ev.label + "' applied (" +
-                   std::to_string(ev.faults->size()) +
-                   " faults, topology epoch " +
-                   std::to_string(net.topology_epoch()) + ")");
-      }
-    }
-    return topology_changed;
-  };
-
-  la::Vector rhs(n, 0.0);
+  // The load step is this route's own, silent entry on the event timeline.
+  const TimedFaultEvent load_step{options.step_time, {}, activities_after,
+                                  "load step"};
+  detail::FaultEventApplier events(
+      options.fault_events, net, ws,
+      [&](const std::vector<double>& activities) {
+        live_loads = net.build_loads(core_model, activities);
+      },
+      &load_step);
 
   const auto record_sample = [&](double t, const la::Vector& sol) {
     const double noise = ws.worst_noise_of(sol);
@@ -149,44 +80,26 @@ PdnTransientResult simulate_load_step(
     }
   };
 
-  std::string diagnostic;
-
   if (!options.adaptive) {
     // --- Legacy uniform grid (bit-compatible waveforms when no fault
     // events are scheduled) under the shared guard/budget/report
     // discipline.  Events fire at the first grid point t >= event time,
     // mirroring the historical load-step rule. -----------------------------
     const double h = options.time_step;
-    const auto n_steps = static_cast<std::size_t>(
-        std::llround(options.duration / h));
-    result.time.reserve(n_steps);
-    result.worst_noise.reserve(n_steps);
-    result.supply_current.reserve(n_steps);
+    const sim::FixedGrid grid(options.control, h, options.duration);
+    result.time.reserve(grid.reserve());
+    result.worst_noise.reserve(grid.reserve());
+    result.supply_current.reserve(grid.reserve());
 
     sim::TransientReport& report = result.report;
-    const double wall_start = monotonic_seconds();
-
-    for (std::size_t step = 0; step < n_steps; ++step) {
-      const double t_new = static_cast<double>(step + 1) * h;
-      if (options.control.max_steps > 0 &&
-          report.accepted_steps >= options.control.max_steps) {
-        report.status = sim::TransientStatus::BudgetExhausted;
-        report.diagnostic = "step budget of " +
-                            std::to_string(options.control.max_steps) +
-                            " exhausted at t = " + std::to_string(t_new) +
-                            " s; result truncated";
-        break;
-      }
-      if (options.control.wall_clock_budget_s > 0.0 &&
-          monotonic_seconds() - wall_start >
-              options.control.wall_clock_budget_s) {
-        report.status = sim::TransientStatus::BudgetExhausted;
-        report.diagnostic = "wall-clock budget exhausted at t = " +
-                            std::to_string(t_new) + " s; result truncated";
-        break;
-      }
-      apply_events_through(t_new, 0.0, report);
-      ws.build_rhs(*live_loads, h, /*be=*/false, rhs);
+    detail::StepSolver solver(ws.system(), options);
+    la::Vector rhs(ws.n(), 0.0);
+    std::string diagnostic;
+    for (std::size_t step = 0; step < grid.steps(); ++step) {
+      const double t_new = grid.time(step);
+      if (!grid.admit(t_new, report)) break;
+      events.apply_through(t_new, 0.0, report);
+      ws.build_rhs(live_loads, h, /*be=*/false, rhs);
       if (!solver.solve(h, /*be=*/false, rhs, x, t_new, report, diagnostic)) {
         report.status = sim::TransientStatus::SolverFailure;
         report.diagnostic = "transient PDN step failed at t = " +
@@ -198,90 +111,18 @@ PdnTransientResult simulate_load_step(
       ++report.accepted_steps;
       report.end_time = t_new;
     }
-    report.min_dt = result.time.empty() ? 0.0 : h;
-    report.max_dt = report.min_dt;
-    report.last_dt = report.min_dt;
-    report.wall_seconds = monotonic_seconds() - wall_start;
-    sim::record_transient_telemetry(report, wall_start);
+    grid.finish(report);
   } else {
-    // --- Adaptive LTE-controlled stepping; the load-step instant and every
-    // fault event are schedule entries the controller lands on exactly. ----
-    const double dt_max = std::min(options.time_step, options.duration);
-    sim::StepController ctl(options.control, 0.0, options.duration,
-                            dt_max / 8.0, dt_max);
-    constexpr int kBeStartupSteps = 2;
-    int be_left = kBeStartupSteps;
+    // --- The shared adaptive loop.  Restart after every step that lands on
+    // a scheduled instant -- the load step or a fault event -- and whenever
+    // a fault changes the topology, t <= 0 included. -----------------------
     const double event_tol = 1e-12 * options.duration;
-
-    sim::EventSchedule schedule(options.duration);
-    schedule.add_time(options.step_time);
-    for (const auto& ev : options.fault_events) schedule.add_time(ev.time);
-
-    std::vector<double> cap_slope(ws.cap_voltages().size(), 0.0);
-    std::vector<double> v_new(cap_slope.size(), 0.0);
-    std::vector<double> v_pred(cap_slope.size(), 0.0);
-    la::Vector candidate = x;
-
-    while (!ctl.done() && !ctl.failed()) {
-      const double t = ctl.time();
-      // Events whose instant the controller just landed on (or, on the
-      // first iteration, events at t <= 0) fire before the step that
-      // starts here; a topology change restarts the integration history.
-      if (apply_events_through(t, event_tol, ctl.report())) {
-        be_left = kBeStartupSteps;
-        ctl.reset_dt(dt_max / 16.0);
-      }
-      const double dt = ctl.begin_step(schedule.next_after(t));
-      if (ctl.failed()) break;
-      const bool be = be_left > 0;
-      // The step uses the loads in force at its START, so each
-      // discontinuity begins exactly at its snapped boundary.
-      ws.build_rhs(*live_loads, dt, be, rhs);
-      candidate = x;  // warm start; x stays the last accepted solution
-      if (!solver.solve(dt, be, rhs, candidate, t, ctl.report(),
-                        diagnostic)) {
-        ctl.reject_step("linear solve failure");
-        continue;
-      }
-      if (!sim::finite_and_bounded(candidate,
-                                   options.control.overflow_limit)) {
-        ctl.reject_step("NaN/overflow guard");
-        continue;
-      }
-      const auto& cap_v = ws.cap_voltages();
-      for (std::size_t l = 0; l < ws.layer_count(); ++l) {
-        for (std::size_t cell = 0; cell < ws.cells(); ++cell) {
-          const std::size_t k = l * ws.cells() + cell;
-          v_new[k] = candidate[net.vdd_node(l, cell)] -
-                     candidate[net.gnd_node(l, cell)];
-        }
-      }
-      double err = 0.0;
-      if (!be) {
-        for (std::size_t k = 0; k < cap_v.size(); ++k) {
-          v_pred[k] = cap_v[k] + cap_slope[k] * dt;
-        }
-        err = sim::error_norm(v_new, v_pred, options.control.rel_tol,
-                              options.control.abs_tol);
-      }
-      const bool on_edge = ctl.ends_on_event();
-      if (!ctl.finish_step(err, be ? 1 : 2)) continue;
-
-      for (std::size_t k = 0; k < cap_v.size(); ++k) {
-        cap_slope[k] = (v_new[k] - cap_v[k]) / dt;
-      }
-      ws.commit_states(candidate, dt, be);
-      x = candidate;
-      record_sample(ctl.time(), x);
-      if (on_edge) {
-        be_left = kBeStartupSteps;
-        ctl.reset_dt(dt_max / 16.0);
-      } else if (be_left > 0) {
-        --be_left;
-      }
-    }
-    ctl.finalize();
-    result.report = ctl.report();
+    result.report = detail::run_adaptive(
+        ws, options, {options.step_time}, {}, live_loads, x,
+        [&](double t, bool on_event, sim::TransientReport& report) {
+          return events.apply_through(t, event_tol, report) || on_event;
+        },
+        record_sample);
   }
 
   result.final_noise =

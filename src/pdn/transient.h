@@ -17,6 +17,18 @@
 // ladder instead of throwing, and hard step / wall-clock budgets.  Callers
 // check PdnTransientResult::report instead of catching exceptions.
 //
+// Adaptive mode runs on the one PDN step loop, pdn::detail::run_adaptive
+// (pdn/transient_core.h), which simulate_ride_through runs on too; this
+// route adds only its load step, its fault events and its peak-tracking
+// sample record.  Fault events in both modes go through one applier.
+//
+// The fixed grid stays separate on purpose.  Its events fire at the first
+// grid point t >= their time, it integrates trapezoidally throughout with
+// no restarts, and its times are (k + 1) * h (sim::FixedGrid).  It is the
+// bit-compatible path behind pdn::optimize_layer_decap and the transient
+// droop and decap allocation ablations (EXPERIMENTS ablations 5 and 14),
+// and the reference the adaptive-vs-fixed tests compare against.
+//
 // The headline result it enables: voltage stacking draws ~N times less
 // off-chip current, so the L*di/dt droop of a full-power step is far
 // smaller than in the regular PDN with the same package.

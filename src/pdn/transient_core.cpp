@@ -1,5 +1,6 @@
 #include "pdn/transient_core.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -353,6 +354,134 @@ double TransientWorkspace::worst_noise_of(const la::Vector& sol,
     worst = std::max(worst, layer_worst);
   }
   return worst / vdd;
+}
+
+FaultEventApplier::FaultEventApplier(const std::vector<TimedFaultEvent>& events,
+                                     PdnNetwork& net, TransientWorkspace& ws,
+                                     OnLoads on_loads,
+                                     const TimedFaultEvent* load_step)
+    : load_step_(load_step), net_(net), ws_(ws), on_loads_(std::move(on_loads)) {
+  if (load_step != nullptr) events_.push_back(load_step);
+  for (const auto& ev : events) {
+    VS_REQUIRE(ev.activities.empty() ||
+                   ev.activities.size() == net.config().layer_count,
+               "fault-event activities must match layer count");
+    events_.push_back(&ev);
+  }
+  std::stable_sort(events_.begin(), events_.end(),
+                   [](const TimedFaultEvent* a, const TimedFaultEvent* b) {
+                     return a->time < b->time;
+                   });
+}
+
+bool FaultEventApplier::apply_through(double t, double tol,
+                                      sim::TransientReport& report) {
+  bool topology_changed = false;
+  while (next_ < events_.size() && events_[next_]->time <= t + tol) {
+    const TimedFaultEvent& ev = *events_[next_++];
+    if (&ev == load_step_) {
+      on_loads_(ev.activities);
+      continue;
+    }
+    const std::string label = ev.label.empty() ? "fault event" : ev.label;
+    if (!ev.activities.empty()) {
+      on_loads_(ev.activities);
+      report.record_event(t, "load surge '" + label + "' applied");
+    }
+    if (!ev.faults.empty()) {
+      ev.faults.apply_to(net_);
+      ws_.rebuild_topology();
+      topology_changed = true;
+      report.record_event(t, "fault event '" + label + "' applied (" +
+                                 std::to_string(ev.faults.size()) +
+                                 " faults, topology epoch " +
+                                 std::to_string(net_.topology_epoch()) + ")");
+    }
+  }
+  return topology_changed;
+}
+
+sim::TransientReport run_adaptive(TransientWorkspace& ws,
+                                  const PdnTransientOptions& options,
+                                  const std::vector<double>& instants,
+                                  sim::PeriodicEvents ticks,
+                                  const std::vector<LoadInjection>& loads,
+                                  la::Vector& x, const StepBoundary& boundary,
+                                  const StepRecord& record) {
+  sim::EventSchedule schedule(options.duration);
+  for (const double t : instants) schedule.add_time(t);
+  for (const auto& ev : options.fault_events) schedule.add_time(ev.time);
+  schedule.add_periodic(std::move(ticks));
+  const double dt_max = std::min(options.time_step, options.duration);
+  sim::StepController ctl(options.control, 0.0, options.duration,
+                          dt_max / 8.0, dt_max);
+  StepSolver solver(ws.system(), options);
+  const PdnNetwork& net = ws.network();
+  constexpr int kBeStartupSteps = 2;
+  int be_left = kBeStartupSteps;
+
+  std::vector<double> cap_slope(ws.cap_voltages().size(), 0.0);
+  std::vector<double> v_new(cap_slope.size(), 0.0);
+  std::vector<double> v_pred(cap_slope.size(), 0.0);
+  la::Vector rhs(ws.n(), 0.0);
+  la::Vector candidate = x;
+  std::string diagnostic;
+
+  bool restart = boundary(0.0, false, ctl.report());
+  while (!ctl.done() && !ctl.failed()) {
+    if (restart) {
+      // Integration history is invalid across the discontinuity.
+      be_left = kBeStartupSteps;
+      ctl.reset_dt(dt_max / 16.0);
+      restart = false;
+    }
+    const double t = ctl.time();
+    const double dt = ctl.begin_step(schedule.next_after(t));
+    if (ctl.failed()) break;
+    const bool be = be_left > 0;
+    // The step uses the loads in force at its START, so each discontinuity
+    // begins exactly at its snapped boundary.
+    ws.build_rhs(loads, dt, be, rhs);
+    candidate = x;  // warm start; x stays the last accepted solution
+    if (!solver.solve(dt, be, rhs, candidate, t, ctl.report(), diagnostic)) {
+      ctl.reject_step("linear solve failure");
+      continue;
+    }
+    if (!sim::finite_and_bounded(candidate, options.control.overflow_limit)) {
+      ctl.reject_step("NaN/overflow guard");
+      continue;
+    }
+    const auto& cap_v = ws.cap_voltages();
+    for (std::size_t l = 0; l < ws.layer_count(); ++l) {
+      for (std::size_t cell = 0; cell < ws.cells(); ++cell) {
+        const std::size_t k = l * ws.cells() + cell;
+        v_new[k] = candidate[net.vdd_node(l, cell)] -
+                   candidate[net.gnd_node(l, cell)];
+      }
+    }
+    double err = 0.0;
+    if (!be) {
+      for (std::size_t k = 0; k < cap_v.size(); ++k) {
+        v_pred[k] = cap_v[k] + cap_slope[k] * dt;
+      }
+      err = sim::error_norm(v_new, v_pred, options.control.rel_tol,
+                            options.control.abs_tol);
+    }
+    if (!ctl.finish_step(err, be ? 1 : 2)) continue;
+
+    for (std::size_t k = 0; k < cap_v.size(); ++k) {
+      cap_slope[k] = (v_new[k] - cap_v[k]) / dt;
+    }
+    ws.commit_states(candidate, dt, be);
+    x = candidate;
+    record(ctl.time(), x);
+    if (be_left > 0) --be_left;
+    if (!ctl.done()) {
+      restart = boundary(ctl.time(), ctl.ends_on_event(), ctl.report());
+    }
+  }
+  ctl.finalize();
+  return ctl.report();
 }
 
 }  // namespace vstack::pdn::detail

@@ -1,7 +1,13 @@
-// Shared internals of the PDN transient engines (pdn/transient.cpp and
+// Shared internals of the PDN transient routes (pdn/transient.cpp and
 // pdn/ride_through.cpp): the timestep-independent split system, the
-// epoch-keyed per-(dt, scheme) step solver, and the companion-state
-// workspace.
+// epoch-keyed per-(dt, scheme) step solver, the companion-state workspace,
+// the one TimedFaultEvent applier, and the one adaptive step loop.
+//
+// run_adaptive() is the adaptive loop of both routes: simulate_load_step in
+// adaptive mode and simulate_ride_through.  A route supplies only what
+// happens at a step boundary (returning whether integration restarts) and
+// what it records for an accepted step.  FaultEventApplier applies the
+// TimedFaultEvents of both routes and of the load step's fixed grid.
 //
 // Everything here operates on a PdnNetwork the caller owns (the engines copy
 // the model's network so mid-run fault events never mutate caller state).
@@ -17,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -127,8 +134,6 @@ class TransientWorkspace {
   const PdnNetwork& network() const { return net_; }
   const SplitSystem& system() const { return sys_; }
   std::size_t n() const { return sys_.n; }
-  std::size_t lvdd_mid() const { return lvdd_mid_; }
-  std::size_t lgnd_mid() const { return lgnd_mid_; }
   std::size_t layer_count() const { return layer_count_; }
   std::size_t cells() const { return cells_; }
 
@@ -160,7 +165,7 @@ class TransientWorkspace {
   double supply_inductor_current() const { return lvdd_i_; }
 
   /// Capacitor voltage states (one per (layer, cell)); read by the adaptive
-  /// engines' LTE predictor.
+  /// loop's LTE predictor.
   const std::vector<double>& cap_voltages() const { return cap_v_; }
 
  private:
@@ -181,5 +186,63 @@ class TransientWorkspace {
   double lvdd_v_ = 0.0;
   double lgnd_v_ = 0.0;
 };
+
+/// The one applier of TimedFaultEvents.  Orders the events stably by time
+/// and applies each once, at the first boundary t with time <= t + tol: its
+/// load surge goes to `on_loads` (the route owns the live loads), then its
+/// FaultSet goes to the network, followed by
+/// TransientWorkspace::rebuild_topology().  Each application is written to
+/// the report's trail.
+class FaultEventApplier {
+ public:
+  using OnLoads = std::function<void(const std::vector<double>& activities)>;
+
+  /// `load_step`, when given, is the route's own load change: it is ordered
+  /// before events of equal time and leaves no trail line.  Throws when a
+  /// load surge does not match the layer count.  Every argument must
+  /// outlive the applier.
+  FaultEventApplier(const std::vector<TimedFaultEvent>& events,
+                    PdnNetwork& net, TransientWorkspace& ws, OnLoads on_loads,
+                    const TimedFaultEvent* load_step = nullptr);
+
+  /// Apply, in order, every event due at boundary `t`.  Returns whether the
+  /// topology changed.
+  bool apply_through(double t, double tol, sim::TransientReport& report);
+
+ private:
+  std::vector<const TimedFaultEvent*> events_;  // stable time order
+  std::size_t next_ = 0;
+  const TimedFaultEvent* load_step_;
+  PdnNetwork& net_;
+  TransientWorkspace& ws_;
+  OnLoads on_loads_;
+};
+
+/// A route's step boundary: `t` is the boundary and `on_event` whether the
+/// accepted step that ended there was clamped onto a scheduled instant
+/// (false at t = 0).  It applies what is due at `t` -- into `report`'s trail
+/// -- and returns whether integration restarts across a discontinuity.
+using StepBoundary =
+    std::function<bool(double t, bool on_event, sim::TransientReport& report)>;
+/// Records the accepted step ending at `t`, whose solution is `x`.
+using StepRecord = std::function<void(double t, const la::Vector& x)>;
+
+/// The one adaptive step loop of the PDN routes.  Integrates from 0 to
+/// options.duration under a sim::StepController (first step dt_max/8,
+/// dt_max = min(time_step, duration)), landing exactly on every fault-event
+/// time and on the route's own `instants` and `ticks`.  Each step solves the
+/// companion system for `loads` -- which the route may replace at a
+/// boundary -- then passes the NaN/overflow guard and the LTE test of a
+/// linear capacitor-voltage predictor.  A restart takes two backward-Euler
+/// steps at dt_max/16.  `boundary` runs at t = 0 and after every accepted
+/// step short of the end; `record` runs for every accepted step.  `x` holds
+/// the initial state and, on return, the last accepted solution.
+sim::TransientReport run_adaptive(TransientWorkspace& ws,
+                                  const PdnTransientOptions& options,
+                                  const std::vector<double>& instants,
+                                  sim::PeriodicEvents ticks,
+                                  const std::vector<LoadInjection>& loads,
+                                  la::Vector& x, const StepBoundary& boundary,
+                                  const StepRecord& record);
 
 }  // namespace vstack::pdn::detail

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "common/error.h"
 #include "core/task_pool.h"
+#include "sim/step_control.h"
 #include "telemetry/telemetry.h"
 
 namespace vstack::pgio {
@@ -107,6 +109,23 @@ core::ContingencyReport keep_top_k(core::ContingencyReport report,
   return report;
 }
 
+/// Steps of the load step's fixed grid.  dt_s must tile the window, and the
+/// count must fit the default step budget of the transient engines.
+std::size_t load_step_count(const LoadStepOptions& options) {
+  std::ostringstream values;
+  values << "window " << options.duration_s << " s, dt " << options.dt_s
+         << " s";
+  VS_REQUIRE(sim::divides_evenly(options.duration_s, options.dt_s),
+             "load-step dt does not divide the window (" + values.str() + ")");
+  const std::size_t steps =
+      sim::fixed_step_count(options.duration_s, options.dt_s);
+  const std::size_t budget = sim::StepControlOptions{}.max_steps;
+  VS_REQUIRE(steps <= budget,
+             "load-step window needs more than the step budget of " +
+                 std::to_string(budget) + " steps (" + values.str() + ")");
+  return steps;
+}
+
 }  // namespace
 
 std::vector<core::EmRiskEntry> rank_by_stress(const ImportedGrid& grid,
@@ -187,6 +206,7 @@ LoadStepReport simulate_load_step(const ImportedGrid& grid,
   VS_REQUIRE(options.dt_s > 0.0, "dt must be positive");
   VS_REQUIRE(options.duration_s >= options.dt_s,
              "duration must cover at least one step");
+  const std::size_t steps = load_step_count(options);
   LoadStepReport report;
 
   ImportedGrid work(grid);
@@ -236,8 +256,6 @@ LoadStepReport simulate_load_step(const ImportedGrid& grid,
   const double ref = reference_potential(work);
   const double band =
       ref > 0.0 ? options.recovery_fraction * ref : options.recovery_fraction;
-  const auto steps =
-      static_cast<std::size_t>(std::ceil(options.duration_s / h));
   la::Vector v = pre.voltages;
   la::Vector rhs(n);
   double error_inf = 0.0;

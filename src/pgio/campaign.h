@@ -72,7 +72,10 @@ std::vector<GridSolution> sweep_load_scale(const ImportedGrid& grid,
 struct LoadStepOptions {
   double step_scale = 2.0;    // load multiplier after the step
   double duration_s = 1e-6;   // simulated window after the step
-  double dt_s = 5e-9;         // backward-Euler step
+  /// Backward-Euler step.  It must tile duration_s (the divisibility rule of
+  /// circuit's fixed grid against the clock period), in at most the default
+  /// step budget of 2,000,000 steps.
+  double dt_s = 5e-9;
   /// Per-node decap [F] used when the netlist carries no C cards (most IBM
   /// DC benchmarks); netlist decap wins when present.
   double default_decap_f = 1e-12;
@@ -93,15 +96,20 @@ struct LoadStepReport {
   double worst_droop_v = 0.0;          // worst |v(t) - v_pre| excursion
 
   bool recovered = false;
-  double recovery_time_s = -1.0;  // first time inside the recovery band
+  /// First grid point inside the recovery band, so it resolves only to
+  /// dt_s: a 1 Ohm / 1 nF RC stepped x2 recovers at RC ln 5 = 1.61 ns
+  /// analytically, and the route reports 5.0 ns at the default dt_s and
+  /// 3.0 ns at dt_s = 1 ns.
+  double recovery_time_s = -1.0;
   double final_error_v = 0.0;     // max |v(end) - v_target|
 };
 
 /// Backward-Euler transient of a load step at t = 0: capacitors stamp the
 /// standard companion model (G + C/h, history current (C/h) v_old), the
 /// pre-step DC point is the initial condition, and the post-step DC point
-/// is the recovery target.  Non-throwing on solver failure (check
-/// solve_ok).
+/// is the recovery target.  Throws when dt_s does not tile the window or
+/// the window needs more steps than the budget; non-throwing on solver
+/// failure (check solve_ok).
 LoadStepReport simulate_load_step(const ImportedGrid& grid,
                                   const LoadStepOptions& options = {});
 

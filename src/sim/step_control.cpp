@@ -11,6 +11,43 @@ namespace vstack::sim {
 
 using telemetry::monotonic_seconds;
 
+namespace {
+
+/// Record a finished transient run into the telemetry registry: step and
+/// rejection counters, recovery events, and a "sim.transient.run" span from
+/// `wall_start_seconds` (a monotonic_seconds() stamp) to now.
+/// StepController::finalize() and FixedGrid::finish() call this, so both
+/// modes report identically.
+void record_transient_telemetry(const TransientReport& report,
+                                double wall_start_seconds) {
+  static const telemetry::Counter t_runs("sim.transient.runs");
+  static const telemetry::Counter t_truncated("sim.transient.runs_truncated");
+  static const telemetry::Counter t_accepted("sim.transient.accepted_steps");
+  static const telemetry::Counter t_rejected("sim.transient.rejected_steps");
+  static const telemetry::Counter t_lte("sim.transient.lte_rejections");
+  static const telemetry::Counter t_guard("sim.transient.guard_rejections");
+  static const telemetry::Counter t_solver("sim.transient.solver_rejections");
+  static const telemetry::Counter t_recovery("sim.transient.recovery_events");
+  static const telemetry::Histogram t_wall(
+      "sim.transient.run_seconds",
+      {1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0});
+
+  t_runs.add();
+  if (!report.ok()) t_truncated.add();
+  t_accepted.add(static_cast<double>(report.accepted_steps));
+  t_rejected.add(static_cast<double>(report.rejected_steps));
+  t_lte.add(static_cast<double>(report.lte_rejections));
+  t_guard.add(static_cast<double>(report.guard_rejections));
+  t_solver.add(static_cast<double>(report.solver_rejections));
+  t_recovery.add(static_cast<double>(report.events.size() +
+                                     report.events_dropped));
+  t_wall.record(report.wall_seconds);
+  telemetry::record_span("sim.transient.run", wall_start_seconds,
+                         wall_start_seconds + report.wall_seconds);
+}
+
+}  // namespace
+
 const char* to_string(TransientStatus status) {
   switch (status) {
     case TransientStatus::Completed: return "completed";
@@ -208,32 +245,48 @@ void StepController::finalize() {
   record_transient_telemetry(report_, wall_start_s_);
 }
 
-void record_transient_telemetry(const TransientReport& report,
-                                double wall_start_seconds) {
-  static const telemetry::Counter t_runs("sim.transient.runs");
-  static const telemetry::Counter t_truncated("sim.transient.runs_truncated");
-  static const telemetry::Counter t_accepted("sim.transient.accepted_steps");
-  static const telemetry::Counter t_rejected("sim.transient.rejected_steps");
-  static const telemetry::Counter t_lte("sim.transient.lte_rejections");
-  static const telemetry::Counter t_guard("sim.transient.guard_rejections");
-  static const telemetry::Counter t_solver("sim.transient.solver_rejections");
-  static const telemetry::Counter t_recovery("sim.transient.recovery_events");
-  static const telemetry::Histogram t_wall(
-      "sim.transient.run_seconds",
-      {1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0});
+std::size_t fixed_step_count(double stop_time, double h) {
+  const double steps = std::round(stop_time / h);
+  return steps < 0x1p64 ? static_cast<std::size_t>(steps)
+                        : std::numeric_limits<std::size_t>::max();
+}
 
-  t_runs.add();
-  if (!report.ok()) t_truncated.add();
-  t_accepted.add(static_cast<double>(report.accepted_steps));
-  t_rejected.add(static_cast<double>(report.rejected_steps));
-  t_lte.add(static_cast<double>(report.lte_rejections));
-  t_guard.add(static_cast<double>(report.guard_rejections));
-  t_solver.add(static_cast<double>(report.solver_rejections));
-  t_recovery.add(static_cast<double>(report.events.size() +
-                                     report.events_dropped));
-  t_wall.record(report.wall_seconds);
-  telemetry::record_span("sim.transient.run", wall_start_seconds,
-                         wall_start_seconds + report.wall_seconds);
+bool divides_evenly(double span, double h) {
+  const double ratio = span / h;
+  return std::abs(ratio - std::round(ratio)) <= 1e-6 * std::max(1.0, ratio);
+}
+
+FixedGrid::FixedGrid(const StepControlOptions& options, double h,
+                     double stop_time)
+    : opts_(options),
+      h_(h),
+      steps_(fixed_step_count(stop_time, h)),
+      wall_start_s_(monotonic_seconds()) {}
+
+bool FixedGrid::admit(double t, TransientReport& report) const {
+  if (opts_.max_steps > 0 && report.accepted_steps >= opts_.max_steps) {
+    report.status = TransientStatus::BudgetExhausted;
+    report.diagnostic = "step budget of " + std::to_string(opts_.max_steps) +
+                        " exhausted at t = " + std::to_string(t) +
+                        " s; result truncated";
+    return false;
+  }
+  if (opts_.wall_clock_budget_s > 0.0 &&
+      monotonic_seconds() - wall_start_s_ > opts_.wall_clock_budget_s) {
+    report.status = TransientStatus::BudgetExhausted;
+    report.diagnostic = "wall-clock budget exhausted at t = " +
+                        std::to_string(t) + " s; result truncated";
+    return false;
+  }
+  return true;
+}
+
+void FixedGrid::finish(TransientReport& report) const {
+  report.min_dt = report.accepted_steps == 0 ? 0.0 : h_;
+  report.max_dt = report.min_dt;
+  report.last_dt = report.min_dt;
+  report.wall_seconds = monotonic_seconds() - wall_start_s_;
+  record_transient_telemetry(report, wall_start_s_);
 }
 
 double error_norm(const std::vector<double>& value,

@@ -6,9 +6,13 @@
 //  * StepController -- local-truncation-error driven timestep selection with
 //    step rejection, halving, exponential grow-back, exact clamping onto
 //    event times (clocked-switch edges, load steps, the stop time), and hard
-//    step / wall-clock budgets.  Fixed-step engines reuse the same
-//    controller with dt_min == dt_max so guards, budgets and reporting are
-//    identical in both modes.
+//    step / wall-clock budgets.  The adaptive engines drive it.
+//
+//  * FixedGrid -- the uniform grid of the fixed-step engines (circuit and
+//    pdn): its step count, the step and wall-clock budgets checked before
+//    each step, and the report finalization.  Fixed-step runs do not use
+//    StepController; FixedGrid fills the same TransientReport fields and
+//    telemetry, so callers read both modes alike.
 //
 //  * TransientReport -- the structured outcome callers check INSTEAD of
 //    catching exceptions: accepted/rejected step counts, dt range, LTE
@@ -20,6 +24,7 @@
 //    NaN/overflow checks every engine runs before committing a step.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <string>
@@ -78,15 +83,6 @@ struct TransientReport {
   std::string summary() const;
 };
 
-/// Record a finished transient run into the telemetry registry: step and
-/// rejection counters, recovery events, and a "sim.transient.run" span from
-/// `wall_start_seconds` (a telemetry::monotonic_seconds() stamp) to now.
-/// StepController::finalize() calls this; fixed-loop engines that fill a
-/// TransientReport by hand call it themselves so both modes report
-/// identically.
-void record_transient_telemetry(const TransientReport& report,
-                                double wall_start_seconds);
-
 struct StepControlOptions {
   /// LTE acceptance: a step passes when the predictor-corrector error,
   /// normalized per state entry by (abs_tol + rel_tol * |value|), is <= 1.
@@ -130,9 +126,7 @@ struct StepControlOptions {
 /// Rejected steps leave time unchanged, so callers simply do not commit.
 class StepController {
  public:
-  /// `dt_init`/`dt_max` bound the adaptive step; passing dt_init == dt_max
-  /// with rel_tol control disabled (finish_step(0.0, ...)) reproduces a
-  /// fixed-step run under the same guards and budgets.
+  /// `dt_init`/`dt_max` bound the adaptive step.
   StepController(const StepControlOptions& options, double t_start,
                  double t_end, double dt_init, double dt_max);
 
@@ -186,6 +180,57 @@ class StepController {
   std::size_t attempted_steps_ = 0;
   double wall_start_s_ = 0.0;  // monotonic clock at construction
   TransientReport report_;
+};
+
+/// Steps of size `h` that cover [0, stop_time]: round(stop_time / h).  A
+/// quotient of 2^64 or more saturates to SIZE_MAX instead of being converted;
+/// the step budget bounds such a run.
+std::size_t fixed_step_count(double stop_time, double h);
+
+/// True when `h` tiles `span`: span / h lies within 1e-6 * max(1, span / h)
+/// of an integer.
+bool divides_evenly(double span, double h);
+
+/// The uniform grid of a fixed-step run: fixed_step_count(stop_time, h)
+/// steps, step k ending at (k + 1) * h, under the step and wall-clock budgets
+/// of `options`.  Usage:
+///
+///   const FixedGrid grid(options, h, stop_time);
+///   samples.reserve(grid.reserve());
+///   for (std::size_t k = 0; k < grid.steps(); ++k) {
+///     const double t = grid.time(k);
+///     if (!grid.admit(t, report)) break;   // budget spent -- truncated
+///     ... solve, commit, record; ++report.accepted_steps ...
+///   }
+///   grid.finish(report);
+class FixedGrid {
+ public:
+  /// Stamps the wall-clock start of the run.
+  FixedGrid(const StepControlOptions& options, double h, double stop_time);
+
+  std::size_t steps() const { return steps_; }
+  /// Samples worth reserving: the step count, capped by the step budget.
+  std::size_t reserve() const {
+    return opts_.max_steps > 0 ? std::min(steps_, opts_.max_steps) : steps_;
+  }
+  double time(std::size_t step) const {
+    return static_cast<double>(step + 1) * h_;
+  }
+
+  /// Budget check before the step ending at `t`.  On an exhausted step
+  /// budget (report.accepted_steps steps taken) or wall-clock budget, labels
+  /// `report` BudgetExhausted and returns false.
+  bool admit(double t, TransientReport& report) const;
+
+  /// Stamp the dt range and wall time into `report` and record its
+  /// telemetry.
+  void finish(TransientReport& report) const;
+
+ private:
+  StepControlOptions opts_;
+  double h_ = 0.0;
+  std::size_t steps_ = 0;
+  double wall_start_s_ = 0.0;
 };
 
 /// Max-norm LTE estimate: |value - predicted| normalized per entry by

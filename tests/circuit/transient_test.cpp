@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "circuit/spice_parser.h"
 #include "common/error.h"
 
 namespace vstack::circuit {
@@ -322,6 +323,21 @@ TEST(TransientTest, StepBudgetTruncatesButLabelsTheResult) {
   for (std::size_t k = 0; k < r.time.size(); ++k) {
     ASSERT_TRUE(std::isfinite(r.node_voltages[k][out]));
   }
+}
+
+TEST(TransientTest, FixedGridBeyondTheStepBudgetTruncatesAtTheBudget) {
+  // 10^15 fixed steps: the grid stops at the budget instead of reserving
+  // the whole window up front.
+  auto c = parse_spice("V1 a 0 1\nR1 a b 1k\nC1 b 0 1n\n.tran 1e-18 1e-3\n");
+  ASSERT_EQ(c.tran.mode, SteppingMode::Fixed);
+  c.tran.control.max_steps = 1000;
+  TransientSimulator sim(c.netlist, c.clock_period);
+  const TransientResult r = sim.run(c.tran);
+  EXPECT_EQ(r.report.status, sim::TransientStatus::BudgetExhausted);
+  EXPECT_EQ(r.time.size(), 1000u);
+  EXPECT_EQ(r.node_voltages.size(), 1000u);
+  EXPECT_EQ(r.report.accepted_steps, 1000u);
+  EXPECT_DOUBLE_EQ(r.report.end_time, 1000 * 1e-18);
 }
 
 TEST(TransientTest, AdaptiveDerivesDefaultMaxStepFromClock) {

@@ -220,5 +220,19 @@ TEST(PdnTransientTest, StepBudgetTruncatesButLabels) {
   }
 }
 
+TEST(PdnTransientTest, FixedGridBeyondTheStepBudgetTruncatesAtTheBudget) {
+  // 2 * 10^13 fixed steps: the grid stops at the budget instead of
+  // reserving the whole window up front.
+  PdnModel model(small(PdnTopology::Regular3d, 2), paper_fp());
+  PdnTransientOptions o;
+  o.time_step = 1e-20;
+  o.control.max_steps = 1000;
+  const auto r = simulate_load_step(model, cpm(), {0.2, 0.2}, {1.0, 1.0}, o);
+  EXPECT_EQ(r.report.status, sim::TransientStatus::BudgetExhausted);
+  EXPECT_EQ(r.time.size(), 1000u);
+  EXPECT_EQ(r.worst_noise.size(), 1000u);
+  EXPECT_EQ(r.report.accepted_steps, 1000u);
+}
+
 }  // namespace
 }  // namespace vstack::pdn

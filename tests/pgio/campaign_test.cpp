@@ -265,6 +265,40 @@ TEST(LoadStep, TransientRecoversToTheNewOperatingPoint) {
   EXPECT_LT(r.final_error_v, 1e-6);
 }
 
+TEST(LoadStep, RejectsAStepThatDoesNotTileTheWindow) {
+  const PgNetlist n = ladder();
+  const ImportedGrid grid(n);
+  LoadStepOptions opt;
+  opt.duration_s = 1e-8;
+  opt.dt_s = 3e-9;  // 3.33 steps: a fourth would overrun the window
+  try {
+    simulate_load_step(grid, opt);
+    FAIL() << "expected the window to be rejected";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("does not divide"), std::string::npos) << what;
+    EXPECT_NE(what.find("1e-08"), std::string::npos) << what;
+    EXPECT_NE(what.find("3e-09"), std::string::npos) << what;
+  }
+}
+
+TEST(LoadStep, RejectsAWindowBeyondTheStepBudget) {
+  const PgNetlist n = ladder();
+  const ImportedGrid grid(n);
+  LoadStepOptions opt;
+  opt.duration_s = 1.0;
+  opt.dt_s = 1e-20;  // 10^20 steps
+  try {
+    simulate_load_step(grid, opt);
+    FAIL() << "expected the window to be rejected";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("step budget of 2000000"), std::string::npos) << what;
+    EXPECT_NE(what.find("window 1 s"), std::string::npos) << what;
+    EXPECT_NE(what.find("1e-20"), std::string::npos) << what;
+  }
+}
+
 TEST(LoadStep, TrivialGridIsImmediatelyRecovered) {
   const PgNetlist n = read_netlist_text("V1 a 0 1.0\nR1 a 0 10\n.end\n");
   const ImportedGrid grid(n);

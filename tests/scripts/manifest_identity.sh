@@ -22,6 +22,15 @@
 # --mc`) is left out on purpose: it moved onto core's sampler, so its draws
 # differ from builds before that change.
 #
+# Then compares stdout and exit code of the transient routes directly.
+# `ride-through --grid=8 --verbose` (recovered, 2 supervisor actions, exit 0)
+# and `--keep=4 --verbose` (all four actions: rebalance, retarget, bypass,
+# shutdown; exit 3) run the one adaptive PDN step loop; with --verbose their
+# stdout carries the engine summary (step counts, dt range) and the event
+# trail.  `ride-through --netlist=...` on each pgio fixture runs the
+# imported-grid backward-Euler load step.  The `spice` line below runs the
+# circuit engine's fixed grid (`.tran 0.3125n 2u`, no ADAPTIVE).
+#
 # Then compares stdout and exit code of `report --jobs=4`: the figure
 # sweeps (Figs. 5a, 5b, 6, 7, 8), EM array lifetimes included.  The report
 # prints three significant digits, so an equal report does not prove equal
@@ -139,6 +148,11 @@ contingency --layers=4 --grid=12 --mc --trials=12 --faults=3 --seed=7
 contingency --netlist=$pgio/ladder4.spice --exhaustive
 contingency --netlist=$pgio/mesh3x3.spice --exhaustive
 contingency --netlist=$pgio/twonet_vias.spice --exhaustive
+ride-through --grid=8 --verbose
+ride-through --grid=8 --keep=4 --verbose
+ride-through --netlist=$pgio/ladder4.spice
+ride-through --netlist=$pgio/mesh3x3.spice
+ride-through --netlist=$pgio/twonet_vias.spice
 report --jobs=4
 import $pgio/ladder4.spice --solve
 import $pgio/mesh3x3.spice --solve

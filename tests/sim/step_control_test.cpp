@@ -233,6 +233,39 @@ TEST(PeriodicEventsTest, EmptyScheduleIsEmpty) {
   EXPECT_FALSE(PeriodicEvents(1.0, {0.25}).empty());
 }
 
+TEST(FixedGridTest, StepCountRoundsAndSaturates) {
+  EXPECT_EQ(fixed_step_count(1e-6, 5e-9), 200u);
+  EXPECT_EQ(fixed_step_count(1e-6, 1e-9), 1000u);  // 999.9999999999999
+  EXPECT_EQ(fixed_step_count(1e-8, 3e-9), 3u);
+  EXPECT_EQ(fixed_step_count(1.0, 1e-30),
+            std::numeric_limits<std::size_t>::max());
+  EXPECT_TRUE(divides_evenly(1e-6, 5e-9));
+  EXPECT_TRUE(divides_evenly(1.0, 1e-30));
+  EXPECT_FALSE(divides_evenly(1e-8, 3e-9));
+  EXPECT_FALSE(divides_evenly(1.0, 2.0));
+}
+
+TEST(FixedGridTest, StepBudgetStopsTheGridAndFinishStampsTheReport) {
+  StepControlOptions opts;
+  opts.max_steps = 3;
+  const FixedGrid grid(opts, 0.25, 1e6);
+  EXPECT_EQ(grid.steps(), 4'000'000u);
+  EXPECT_EQ(grid.reserve(), 3u);
+  TransientReport report;
+  std::size_t step = 0;
+  for (; step < grid.steps(); ++step) {
+    if (!grid.admit(grid.time(step), report)) break;
+    ++report.accepted_steps;
+  }
+  grid.finish(report);
+  EXPECT_EQ(step, 3u);
+  EXPECT_EQ(report.status, TransientStatus::BudgetExhausted);
+  EXPECT_EQ(report.diagnostic,
+            "step budget of 3 exhausted at t = 1.000000 s; result truncated");
+  EXPECT_EQ(report.min_dt, 0.25);
+  EXPECT_EQ(report.max_dt, 0.25);
+}
+
 TEST(EventScheduleTest, MergesPeriodicAndOneShotTimes) {
   EventSchedule sched(10.0);
   sched.add_periodic(PeriodicEvents(1.0, {0.5}));
