@@ -39,6 +39,17 @@ void CampaignOptions::validate() const {
              "retry_tolerance_relax must be >= 1");
 }
 
+sc::SupervisorConfig calibrated_supervisor_policy() {
+  sc::SupervisorConfig sup;
+  sup.trip_fraction = 0.10;
+  sup.recovery_fraction = 0.08;
+  sup.sense_interval = 5e-9;
+  sup.detection_latency = 20e-9;
+  sup.action_dwell = 60e-9;
+  sup.watchdog_timeout = 300e-9;
+  return sup;
+}
+
 std::string CampaignReport::summary() const {
   std::ostringstream oss;
   oss << scenarios.size() << " scenarios: " << recovered << " recovered, "

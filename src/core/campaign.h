@@ -90,6 +90,12 @@ struct CampaignOptions {
   void validate() const;
 };
 
+/// The calibrated stack-supervisor policy of every campaign and ride-through
+/// front end: trip 10%, recovery 8%, 5 ns sensing, 20 ns detection
+/// latency, 60 ns dwell, 300 ns watchdog (docs/fault_model.md §6 explains
+/// the recovery band).
+sc::SupervisorConfig calibrated_supervisor_policy();
+
 /// Outcome of one scenario, as recorded in (and restored from) the manifest.
 struct CampaignScenarioResult {
   std::size_t index = 0;        // trial number

@@ -76,13 +76,14 @@ std::vector<DesignPoint> enumerate_designs(const StudyContext& ctx,
 
   std::vector<DesignPoint> points(candidates.size());
   const TaskPool pool(options.execution);
-  pool.run_ordered(
+  const std::size_t committed = pool.run_ordered(
       candidates.size(),
       [&](std::size_t i) {
         points[i] = evaluate_point(ctx, options, candidates[i].first,
                                    candidates[i].second, baseline);
       },
       [](std::size_t) {});
+  points.resize(committed);  // a fired deadline keeps the committed prefix
   return points;
 }
 

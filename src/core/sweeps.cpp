@@ -32,7 +32,7 @@ std::vector<Fig5aRow> run_fig5a(const StudyContext& ctx,
   // its own models: rows fan out on the pool and land in sweep order.
   std::vector<Fig5aRow> rows(layer_counts.size());
   const TaskPool pool(execution);
-  pool.run_ordered(
+  const std::size_t committed = pool.run_ordered(
       layer_counts.size(),
       [&](std::size_t r) {
         const std::size_t layers = layer_counts[r];
@@ -69,6 +69,7 @@ std::vector<Fig5aRow> run_fig5a(const StudyContext& ctx,
         rows[r] = row;
       },
       [](std::size_t) {});
+  rows.resize(committed);  // a fired deadline keeps the committed prefix
   return rows;
 }
 
@@ -81,7 +82,7 @@ std::vector<Fig5bRow> run_fig5b(const StudyContext& ctx,
 
   std::vector<Fig5bRow> rows(layer_counts.size());
   const TaskPool pool(execution);
-  pool.run_ordered(
+  const std::size_t committed = pool.run_ordered(
       layer_counts.size(),
       [&](std::size_t r) {
         const std::size_t layers = layer_counts[r];
@@ -108,6 +109,7 @@ std::vector<Fig5bRow> run_fig5b(const StudyContext& ctx,
         rows[r] = row;
       },
       [](std::size_t) {});
+  rows.resize(committed);  // a fired deadline keeps the committed prefix
   return rows;
 }
 
@@ -137,7 +139,7 @@ Fig6Result run_fig6(const StudyContext& ctx, std::size_t layers,
   // row that builds it; rows fan out on the pool.
   result.rows.resize(imbalances.size());
   const TaskPool pool(execution);
-  pool.run_ordered(
+  const std::size_t committed = pool.run_ordered(
       imbalances.size(),
       [&](std::size_t r) {
         Fig6Row row;
@@ -157,6 +159,7 @@ Fig6Result run_fig6(const StudyContext& ctx, std::size_t layers,
         result.rows[r] = std::move(row);
       },
       [](std::size_t) {});
+  result.rows.resize(committed);  // a fired deadline keeps the prefix
   return result;
 }
 
@@ -178,7 +181,7 @@ Fig8Result run_fig8(const StudyContext& ctx, std::size_t layers,
   result.converter_counts = converter_counts;
   result.rows.resize(imbalances.size());
   const TaskPool pool(execution);
-  pool.run_ordered(
+  const std::size_t committed = pool.run_ordered(
       imbalances.size(),
       [&](std::size_t r) {
         const double imbalance = imbalances[r];
@@ -198,6 +201,7 @@ Fig8Result run_fig8(const StudyContext& ctx, std::size_t layers,
         result.rows[r] = std::move(row);
       },
       [](std::size_t) {});
+  result.rows.resize(committed);  // a fired deadline keeps the prefix
   return result;
 }
 

@@ -335,4 +335,23 @@ RideThroughResult simulate_ride_through(
   return result;
 }
 
+ConverterBankFault converter_bank_fault(const PdnModel& model,
+                                        std::size_t level, std::size_t keep,
+                                        double time) {
+  VS_REQUIRE(level >= 1 && level < model.config().layer_count,
+             "fault level must name an intermediate rail (1..layers-1)");
+  ConverterBankFault fault;
+  fault.event.time = time;
+  fault.event.label = "converter bank stuck-off";
+  const auto& converters = model.network().converters();
+  for (std::size_t i = 0; i < converters.size(); ++i) {
+    if (converters[i].level != level) continue;
+    if (fault.bank_size++ >= keep) fault.event.faults.converter_stuck_off(i);
+  }
+  VS_REQUIRE(fault.bank_size > 0, "no converters at level " +
+                                      std::to_string(level) +
+                                      " (regular topology?)");
+  return fault;
+}
+
 }  // namespace vstack::pdn

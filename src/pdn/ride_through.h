@@ -114,4 +114,17 @@ RideThroughResult simulate_ride_through(
     const PdnModel& model, const power::CorePowerModel& core_model,
     const std::vector<double>& activities, const RideThroughOptions& options);
 
+/// The ride-through demo fault: one converter bank stuck off.
+struct ConverterBankFault {
+  TimedFaultEvent event;      // "converter bank stuck-off" at the given time
+  std::size_t bank_size = 0;  // converters at the struck rail, survivors too
+};
+
+/// Every converter at rail `level` past the first `keep` sticks off at
+/// `time`.  Throws unless `level` is an intermediate rail (1..layers-1)
+/// that carries converters.
+ConverterBankFault converter_bank_fault(const PdnModel& model,
+                                        std::size_t level, std::size_t keep,
+                                        double time);
+
 }  // namespace vstack::pdn

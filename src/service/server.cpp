@@ -47,10 +47,6 @@ const telemetry::Counter t_retries("service.retries");
 const telemetry::Gauge g_queue_depth("service.queue_depth");
 const telemetry::Gauge g_active("service.active");
 
-// Serialization helpers shared with the campaign manifest format
-// (core/campaign_manifest.h); thin aliases keep the call sites short.
-std::string fmt_double(double v) { return core::fmt_double_17g(v); }
-
 /// JSON string payload sanitizer: the response format is flat JSON without
 /// escape support (same contract as the campaign manifest), so quotes and
 /// control characters in diagnostics are rewritten, not escaped.
@@ -61,20 +57,6 @@ std::string sanitize(std::string s) {
   }
   return s;
 }
-
-bool json_field(const std::string& line, const std::string& key,
-                std::string& out) {
-  return core::json_field(line, key, out);
-}
-
-void fnv_double(std::uint64_t& h, double v) {
-  core::Fnv1a f;
-  f.h = h;
-  f.f64(v);
-  h = f.h;
-}
-
-std::string hex64(std::uint64_t v) { return core::hex64(v); }
 
 /// One terminal answer; rendered as a single JSONL line.
 struct Response {
@@ -94,24 +76,26 @@ std::string response_line(const Response& r) {
       << "\",\"request\":\"" << r.kind << "\",\"status\":\"" << r.status
       << "\",\"degraded\":" << (r.degraded ? 1 : 0)
       << ",\"attempts\":" << r.attempts
-      << ",\"wall_seconds\":" << fmt_double(r.wall_seconds) << r.aggregates;
+      << ",\"wall_seconds\":" << core::fmt_double_17g(r.wall_seconds)
+      << r.aggregates;
   if (!r.detail.empty()) oss << ",\"detail\":\"" << sanitize(r.detail) << "\"";
   oss << "}";
   return oss.str();
 }
 
-/// The CLI's transient-fault supervisor policy (tools/vstack_cli.cpp keeps
-/// an identical copy for its interactive commands; docs/fault_model.md
-/// explains the calibration).
-sc::SupervisorConfig service_supervisor_policy() {
-  sc::SupervisorConfig sup;
-  sup.trip_fraction = 0.10;
-  sup.recovery_fraction = 0.08;
-  sup.sense_interval = 5e-9;
-  sup.detection_latency = 20e-9;
-  sup.action_dwell = 60e-9;
-  sup.watchdog_timeout = 300e-9;
-  return sup;
+/// The aggregates of a campaign response, in process or sharded.
+std::string campaign_aggregates(const core::CampaignReport& report) {
+  std::ostringstream agg;
+  agg << ",\"trials\":" << report.planned
+      << ",\"completed\":" << report.scenarios.size()
+      << ",\"recovered\":" << report.recovered
+      << ",\"degraded_outcomes\":" << report.degraded
+      << ",\"lost\":" << report.lost
+      << ",\"timed_out_scenarios\":" << report.timed_out
+      << ",\"worst_droop\":" << core::fmt_double_17g(report.worst_droop)
+      << ",\"resumed\":" << report.resumed
+      << ",\"evaluated\":" << report.evaluated;
+  return agg.str();
 }
 
 /// Outcome of one execution attempt that ran to a verdict (vs throwing).
@@ -293,10 +277,10 @@ class ServerRun {
       std::string kind, id;
       // A torn final line (kill -9 mid-append) simply fails the field
       // check and is ignored; its request is still in active/ and re-runs.
-      if (!json_field(line, "kind", kind) || kind != "vstack-response") {
+      if (!core::json_field(line, "kind", kind) || kind != "vstack-response") {
         continue;
       }
-      if (json_field(line, "id", id)) ids.insert(id);
+      if (core::json_field(line, "id", id)) ids.insert(id);
     }
     return ids;
   }
@@ -516,50 +500,47 @@ class ServerRun {
     return degraded ? admission_.degraded_trials(spec.trials) : spec.trials;
   }
 
-  RunOutcome execute_campaign(const RequestSpec& spec, bool degraded,
-                              std::size_t jobs,
-                              const Deadline& deadline) const {
-    const auto cfg = resolve_config(spec);
-    const auto acts = power::interleaved_layer_activities(cfg.layer_count,
-                                                          spec.imbalance);
-    core::CampaignOptions opt;
-    opt.contingency.trials = effective_trials(spec, degraded);
-    opt.contingency.faults_per_trial = spec.faults_per_trial;
-    opt.contingency.converter_faults_per_trial =
-        cfg.is_voltage_stacked() ? 32 : 0;
-    opt.contingency.seed = spec.seed;
-    opt.ride_through.transient.duration = spec.duration_s;
-    opt.ride_through.supervisor = service_supervisor_policy();
-    opt.fault_time =
+  /// The request's campaign as a shard::JobSpec; shard::make_campaign
+  /// builds it in process and on every shard worker alike.
+  shard::JobSpec campaign_job(const RequestSpec& spec, bool degraded) const {
+    shard::JobSpec job;
+    job.stacked = spec.stacked;
+    job.layers = spec.layers;
+    job.grid = spec.grid;
+    job.imbalance = spec.imbalance;
+    job.trials = effective_trials(spec, degraded);
+    job.faults_per_trial = spec.faults_per_trial;
+    job.converter_faults_per_trial = spec.stacked ? 32 : 0;
+    job.seed = spec.seed;
+    job.duration_s = spec.duration_s;
+    job.fault_time_s =
         spec.fault_time_s > 0.0 ? spec.fault_time_s : spec.duration_s / 8.0;
     // Per-scenario wall timeouts couple results to machine speed; the
     // request deadline is the service's hang guard, so scenarios run
     // untimed and responses stay bit-reproducible.
-    opt.scenario_timeout_s = 0.0;
-    opt.manifest_path =
-        (root_ / "manifests" / (spec.id + ".jsonl")).string();
-    opt.execution = execution_for(jobs, deadline);
+    job.scenario_timeout_s = 0.0;
+    return job;
+  }
 
+  RunOutcome execute_campaign(const RequestSpec& spec, bool degraded,
+                              std::size_t jobs,
+                              const Deadline& deadline) const {
+    const shard::JobSpec job = campaign_job(spec, degraded);
     if (opts_.shard_workers > 0) {
-      return execute_campaign_sharded(spec, opt, cfg, jobs, deadline);
+      return execute_campaign_sharded(spec.id, job, jobs, deadline);
     }
 
-    const core::CampaignRunner runner(ctx_, cfg);
-    const core::CampaignReport report = runner.run(acts, opt);
+    shard::CampaignSetup campaign = shard::make_campaign(ctx_, job);
+    campaign.options.manifest_path =
+        (root_ / "manifests" / (spec.id + ".jsonl")).string();
+    campaign.options.execution = execution_for(jobs, deadline);
+    const core::CampaignRunner runner(ctx_, campaign.config);
+    const core::CampaignReport report =
+        runner.run(campaign.activities, campaign.options);
 
-    std::ostringstream agg;
-    agg << ",\"trials\":" << report.planned
-        << ",\"completed\":" << report.scenarios.size()
-        << ",\"recovered\":" << report.recovered
-        << ",\"degraded_outcomes\":" << report.degraded
-        << ",\"lost\":" << report.lost
-        << ",\"timed_out_scenarios\":" << report.timed_out
-        << ",\"worst_droop\":" << fmt_double(report.worst_droop)
-        << ",\"resumed\":" << report.resumed
-        << ",\"evaluated\":" << report.evaluated;
     RunOutcome out;
     out.cancelled = report.cancelled;
-    out.aggregates = agg.str();
+    out.aggregates = campaign_aggregates(report);
     out.detail = report.summary();
     return out;
   }
@@ -570,47 +551,22 @@ class ServerRun {
   /// crashes and poison scenarios are isolated from the server process;
   /// quarantined trials surface in the aggregates instead of wedging the
   /// request in a crash loop.
-  RunOutcome execute_campaign_sharded(const RequestSpec& spec,
-                                      const core::CampaignOptions& opt,
-                                      const pdn::StackupConfig& cfg,
+  RunOutcome execute_campaign_sharded(const std::string& id,
+                                      const shard::JobSpec& job,
                                       std::size_t jobs,
                                       const Deadline& deadline) const {
-    shard::JobSpec jspec;
-    jspec.stacked = cfg.is_voltage_stacked();
-    jspec.layers = cfg.layer_count;
-    jspec.grid = cfg.grid_nx;
-    jspec.imbalance = spec.imbalance;
-    jspec.trials = opt.contingency.trials;
-    jspec.faults_per_trial = opt.contingency.faults_per_trial;
-    jspec.converter_faults_per_trial =
-        opt.contingency.converter_faults_per_trial;
-    jspec.seed = opt.contingency.seed;
-    jspec.duration_s = opt.ride_through.transient.duration;
-    jspec.fault_time_s = opt.fault_time;
-    jspec.scenario_timeout_s = opt.scenario_timeout_s;
-    jspec.max_retries = opt.max_retries;
-    jspec.retry_relax = opt.retry_tolerance_relax;
-
     shard::SupervisorOptions sup;
-    sup.job_dir = (root_ / "jobs" / spec.id).string();
+    sup.job_dir = (root_ / "jobs" / id).string();
     sup.shards = opts_.shard_workers;
     sup.worker_command = opts_.worker_command;
     sup.worker_jobs = jobs > 0 ? jobs : 1;
     sup.stop = deadline;
 
     const shard::SupervisorReport result =
-        shard::run_supervised_job(ctx_, jspec, sup);
-    const core::CampaignReport& report = result.merge.report;
+        shard::run_supervised_job(ctx_, job, sup);
 
     std::ostringstream agg;
-    agg << ",\"trials\":" << report.planned
-        << ",\"completed\":" << report.scenarios.size()
-        << ",\"recovered\":" << report.recovered
-        << ",\"degraded_outcomes\":" << report.degraded
-        << ",\"lost\":" << report.lost
-        << ",\"timed_out_scenarios\":" << report.timed_out
-        << ",\"worst_droop\":" << fmt_double(report.worst_droop)
-        << ",\"resumed\":0,\"evaluated\":" << report.evaluated
+    agg << campaign_aggregates(result.merge.report)
         << ",\"shard_workers\":" << sup.shards
         << ",\"worker_restarts\":" << result.workers_restarted
         << ",\"quarantined\":" << result.merge.quarantined_trials.size();
@@ -648,7 +604,7 @@ class ServerRun {
         << ",\"degraded_cases\":" << report.degraded
         << ",\"infeasible\":" << report.infeasible
         << ",\"worst_deviation\":"
-        << fmt_double(report.worst_post_fault_deviation);
+        << core::fmt_double_17g(report.worst_post_fault_deviation);
     RunOutcome out;
     out.cancelled = report.cancelled;
     out.aggregates = agg.str();
@@ -664,57 +620,55 @@ class ServerRun {
     so.execution = execution_for(jobs, deadline);
     const core::SweepRunner sweeps(ctx_, so);
 
-    std::uint64_t hash = 1469598103934665603ull;
+    core::Fnv1a hash;
     std::size_t rows = 0;
     if (spec.figure == "5a") {
       for (const auto& r : sweeps.fig5a()) {
         ++rows;
-        fnv_double(hash, static_cast<double>(r.layers));
-        fnv_double(hash, r.reg_dense);
-        fnv_double(hash, r.reg_sparse);
-        fnv_double(hash, r.reg_few);
-        fnv_double(hash, r.vs_few);
+        hash.f64(static_cast<double>(r.layers));
+        hash.f64(r.reg_dense);
+        hash.f64(r.reg_sparse);
+        hash.f64(r.reg_few);
+        hash.f64(r.vs_few);
       }
     } else if (spec.figure == "5b") {
       for (const auto& r : sweeps.fig5b()) {
         ++rows;
-        fnv_double(hash, static_cast<double>(r.layers));
-        fnv_double(hash, r.reg_25);
-        fnv_double(hash, r.reg_50);
-        fnv_double(hash, r.reg_75);
-        fnv_double(hash, r.reg_100);
-        fnv_double(hash, r.vs);
+        hash.f64(static_cast<double>(r.layers));
+        hash.f64(r.reg_25);
+        hash.f64(r.reg_50);
+        hash.f64(r.reg_75);
+        hash.f64(r.reg_100);
+        hash.f64(r.vs);
       }
     } else if (spec.figure == "6") {
       const auto result = sweeps.fig6({0.0, 0.25, 0.5, 0.75, 1.0});
       for (const auto& row : result.rows) {
         ++rows;
-        fnv_double(hash, row.imbalance);
-        for (const auto& v : row.vs_noise) fnv_double(hash, v ? *v : -1.0);
+        hash.f64(row.imbalance);
+        for (const auto& v : row.vs_noise) hash.f64(v ? *v : -1.0);
       }
     } else if (spec.figure == "7") {
       for (const auto& app : sweeps.fig7()) {
         ++rows;
-        fnv_double(hash, app.power.median);
-        fnv_double(hash, app.max_imbalance);
+        hash.f64(app.power.median);
+        hash.f64(app.max_imbalance);
       }
     } else {
       const auto result = sweeps.fig8({0.1, 0.3, 0.5, 0.7, 0.9});
       for (const auto& row : result.rows) {
         ++rows;
-        fnv_double(hash, row.imbalance);
-        for (const auto& v : row.vs_efficiency) {
-          fnv_double(hash, v ? *v : -1.0);
-        }
-        fnv_double(hash, row.regular_sc);
+        hash.f64(row.imbalance);
+        for (const auto& v : row.vs_efficiency) hash.f64(v ? *v : -1.0);
+        hash.f64(row.regular_sc);
       }
     }
 
     std::ostringstream agg;
     agg << ",\"figure\":\"" << spec.figure << "\",\"rows\":" << rows
-        << ",\"data_hash\":\"" << hex64(hash) << "\"";
+        << ",\"data_hash\":\"" << core::hex64(hash.h) << "\"";
     RunOutcome out;
-    // The figure drivers have no committed-count channel; an expired
+    // The figure sweeps return only the rows they committed; an expired
     // deadline means the tail rows were skipped, so label it truncated.
     out.cancelled = deadline.expired();
     out.aggregates = agg.str();
@@ -730,7 +684,7 @@ class ServerRun {
 
     pdn::RideThroughOptions opt;
     opt.transient.duration = spec.duration_s;
-    opt.supervisor = service_supervisor_policy();
+    opt.supervisor = core::calibrated_supervisor_policy();
     opt.transient.control.deadline = deadline;
     opt.transient.iterative.deadline = deadline;
 
@@ -738,22 +692,11 @@ class ServerRun {
         spec.fault_level > 0
             ? spec.fault_level
             : std::min<std::size_t>(3, cfg.layer_count - 1);
-    VS_REQUIRE(fault_level >= 1 && fault_level < cfg.layer_count,
-               "fault_level must name an intermediate rail (1..layers-1)");
-    pdn::TimedFaultEvent ev;
-    ev.time = spec.fault_time_s > 0.0 ? spec.fault_time_s
-                                      : spec.duration_s / 2.0;
-    ev.label = "converter bank stuck-off";
-    std::size_t seen = 0;
-    const auto& converters = model.network().converters();
-    for (std::size_t i = 0; i < converters.size(); ++i) {
-      if (converters[i].level != fault_level) continue;
-      if (seen++ >= spec.keep) ev.faults.converter_stuck_off(i);
-    }
-    VS_REQUIRE(seen > 0, "no converters at level " +
-                             std::to_string(fault_level) +
-                             " (regular topology?)");
-    opt.transient.fault_events.push_back(std::move(ev));
+    const double fault_time =
+        spec.fault_time_s > 0.0 ? spec.fault_time_s : spec.duration_s / 2.0;
+    opt.transient.fault_events.push_back(
+        pdn::converter_bank_fault(model, fault_level, spec.keep, fault_time)
+            .event);
 
     const auto result =
         pdn::simulate_ride_through(model, ctx_.core_model, acts, opt);
@@ -762,8 +705,8 @@ class ServerRun {
     std::ostringstream agg;
     agg << ",\"outcome\":\"" << pdn::to_string(rep.outcome)
         << "\",\"completed\":" << (rep.ok() ? 1 : 0)
-        << ",\"worst_droop\":" << fmt_double(rep.worst_droop)
-        << ",\"final_droop\":" << fmt_double(rep.final_droop)
+        << ",\"worst_droop\":" << core::fmt_double_17g(rep.worst_droop)
+        << ",\"final_droop\":" << core::fmt_double_17g(rep.final_droop)
         << ",\"actions\":" << rep.actions.size();
     RunOutcome out;
     out.cancelled = !rep.ok() && deadline.expired();

@@ -15,7 +15,7 @@ namespace vstack::shard {
 namespace fs = std::filesystem;
 
 void JobSpec::validate() const {
-  VS_REQUIRE(trials > 0, "shard job needs at least one trial");
+  VS_REQUIRE(trials > 0, "campaign needs at least one trial");
   VS_REQUIRE(layers >= 1, "shard job needs at least one layer");
   VS_REQUIRE(chunk > 0, "chunk must be >= 1");
   VS_REQUIRE(max_attempts > 0, "max_attempts must be >= 1");
@@ -55,15 +55,7 @@ CampaignSetup make_campaign(const core::StudyContext& ctx,
       spec.converter_faults_per_trial;
   opt.contingency.seed = spec.seed;
   opt.ride_through.transient.duration = spec.duration_s;
-  // Same calibrated policy as `vstack_cli campaign` / the service (see
-  // docs/fault_model.md): byte-identical merge vs the serial command
-  // depends on every one of these matching.
-  opt.ride_through.supervisor.trip_fraction = 0.10;
-  opt.ride_through.supervisor.recovery_fraction = 0.08;
-  opt.ride_through.supervisor.sense_interval = 5e-9;
-  opt.ride_through.supervisor.detection_latency = 20e-9;
-  opt.ride_through.supervisor.action_dwell = 60e-9;
-  opt.ride_through.supervisor.watchdog_timeout = 300e-9;
+  opt.ride_through.supervisor = core::calibrated_supervisor_policy();
   opt.fault_time = spec.fault_time_s;
   opt.scenario_timeout_s = spec.scenario_timeout_s;
   opt.max_retries = spec.max_retries;

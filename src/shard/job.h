@@ -32,16 +32,16 @@
 namespace vstack::shard {
 
 struct JobSpec {
-  // Network shape (mirrors the service's resolve_config).
+  // Network shape.
   bool stacked = true;
   std::size_t layers = 8;
   std::size_t grid = 16;
   double imbalance = 0.8;
 
-  // Monte Carlo shape (mirrors `vstack_cli campaign`).
+  // Monte Carlo shape.
   std::size_t trials = 8;
   std::size_t faults_per_trial = 2;
-  std::size_t converter_faults_per_trial = 32;  // stacked ? 32 : 0 upstream
+  std::size_t converter_faults_per_trial = 32;  // front ends: stacked ? 32 : 0
   std::uint64_t seed = 42;
 
   // Transient replay knobs.
@@ -69,10 +69,12 @@ struct JobSpec {
   std::size_t chunk_of(std::size_t trial) const { return trial / chunk; }
 };
 
-/// Everything CampaignRunner needs, reconstructed from the spec exactly the
-/// way `vstack_cli campaign` builds it -- same supervisor policy, same
-/// defaults -- so a shard fleet's merged manifest is byte-identical to the
-/// serial command's.
+/// Everything CampaignRunner needs.  make_campaign is the one recipe for a
+/// synthesized-grid campaign: `vstack_cli campaign` (serial, --compare and
+/// --shards), the spool service (in process and sharded) and every shard
+/// worker build theirs from a JobSpec here, so a shard fleet's merged
+/// manifest is byte-identical to the serial run's by construction.  The
+/// caller sets only options.manifest_path and options.execution.
 struct CampaignSetup {
   pdn::StackupConfig config;
   std::vector<double> activities;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "core/design_space.h"
 
 namespace vstack::core {
 namespace {
@@ -172,6 +173,26 @@ TEST(SweepRunnerTest, FacadeMatchesFreeFunctions) {
     EXPECT_EQ(via_facade[i].vs_few, direct[i].vs_few);
     EXPECT_EQ(via_facade[i].reg_few, direct[i].reg_few);
   }
+}
+
+// A fired deadline keeps the committed prefix: rows nobody computed must
+// not come back default-constructed (layers = 0, every value 0).
+TEST(SweepDeadlineTest, CancelledSweepsReturnNoRows) {
+  ExecutionPolicy cancelled;
+  cancelled.deadline = Deadline::cancellable();
+  cancelled.deadline.cancel();
+
+  EXPECT_TRUE(run_fig5a(ctx(), {2, 4}, cancelled).empty());
+  EXPECT_TRUE(run_fig5b(ctx(), {2, 4}, cancelled).empty());
+  EXPECT_TRUE(run_fig6(ctx(), 2, {2}, {0.0, 0.5}, cancelled).rows.empty());
+  EXPECT_TRUE(run_fig8(ctx(), 2, {2}, {0.1, 0.5}, cancelled).rows.empty());
+
+  DesignSpaceOptions designs;
+  designs.layers = 2;
+  designs.regular_c4_fractions = {1.0};
+  designs.stacked_converter_counts = {2};
+  designs.execution = cancelled;
+  EXPECT_TRUE(enumerate_designs(ctx(), designs).empty());
 }
 
 TEST(SweepRunnerTest, RejectsEmptyAxesAndBadPolicy) {

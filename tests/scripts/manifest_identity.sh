@@ -15,6 +15,22 @@
 # (`--shards=4 --chunk=1 --job-dir=...`): its merged.jsonl must equal the
 # other binary's and the serial --grid=8 manifest.
 #
+# Then the spool service, once per binary (shard::make_campaign builds the
+# campaign of the CLI, of the service and of every shard worker):
+# `serve --max-requests=4 --idle-exit=1` answers a campaign request
+# (4 layers, 8x8, 4 trials, seed 7), an N-1 contingency, a ride-through and
+# a figure-6 sweep; `serve --shard-workers=2` answers the same campaign
+# request on a worker fleet.  The service's manifests/c1.jsonl, the fleet's
+# jobs/c1/merged.jsonl and a serial `campaign --layers=4 --grid=8
+# --trials=4 --seed=7` manifest must be equal within each binary and
+# across the two.  Both responses.jsonl files must equal the other
+# binary's with the run-dependent fields masked: wall_seconds, attempts,
+# resumed and evaluated (docs/service_mode.md section 5).
+#
+# Then compares stdout and exit code of the campaign table routes:
+# `campaign --compare` (stacked vs regular-3D) and `campaign
+# --converters=4` (a resolved config the job spec cannot carry).
+#
 # Then compares stdout and exit code of `contingency` on both routes of the
 # shared contingency engine: a synthesized 4-layer 12x12 stack (N-1 top-8
 # and a seeded Monte Carlo campaign) and an exhaustive N-1 sweep of each
@@ -31,10 +47,11 @@
 # imported-grid backward-Euler load step.  The `spice` line below runs the
 # circuit engine's fixed grid (`.tran 0.3125n 2u`, no ADAPTIVE).
 #
-# Then compares stdout and exit code of `report --jobs=4`: the figure
-# sweeps (Figs. 5a, 5b, 6, 7, 8), EM array lifetimes included.  The report
-# prints three significant digits, so an equal report does not prove equal
-# bits: the bitwise contract on array lifetimes is held by the
+# Then compares stdout and exit code of `sweep --figure=F --jobs=4` for
+# each figure and of `report --jobs=4`, which prints the same tables
+# (Figs. 5a, 5b, 6, 7, 8), EM array lifetimes included.  The tables print
+# three significant digits, so an equal report does not prove equal bits:
+# the bitwise contract on array lifetimes is held by the
 # ArrayMttfBitIdentity tests (tests/em/array_mttf_test.cpp) and by the
 # bench/e2e `results`, which must equal the parent commit's exactly.
 #
@@ -56,27 +73,36 @@ ROOT=$(cd "$(dirname "$0")/../.." && pwd)
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/vstack_manifest_identity.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 
-# compare_manifests LABEL A B: fail unless manifests A and B are equal with
-# wall_seconds masked.
-compare_manifests() {
+# compare_masked LABEL A B FIELD...: fail unless the JSONL files A and B are
+# equal with the named fields' values masked.
+compare_masked() {
   python3 - "$@" <<'EOF'
 import re, sys
 
-label, a_path, b_path = sys.argv[1:4]
-mask = lambda p: re.sub(r'("wall_seconds":)[^,}]*', r'\1X', open(p).read())
+label, a_path, b_path, *fields = sys.argv[1:]
+def mask(path):
+    text = open(path).read()
+    for field in fields:
+        text = re.sub(r'("%s":)[^,}]*' % field, r'\1X', text)
+    return text
 a, b = mask(a_path), mask(b_path)
 if a != b:
     for i, (x, y) in enumerate(zip(a.splitlines(), b.splitlines())):
         if x != y:
-            print(f"FAIL {label}: manifests differ at line {i + 1}\n"
+            print(f"FAIL {label}: files differ at line {i + 1}\n"
                   f"  {a_path}: {x}\n  {b_path}: {y}")
             break
     else:
-        print(f"FAIL {label}: manifests differ in length")
+        print(f"FAIL {label}: files differ in length")
     sys.exit(1)
 lines = len(a.splitlines())
-print(f"{label}: manifests identical ({lines} lines, wall_seconds masked)")
+print(f"{label}: identical ({lines} lines, {', '.join(fields)} masked)")
 EOF
+}
+
+# compare_manifests LABEL A B: campaign manifests, wall_seconds masked.
+compare_manifests() {
+  compare_masked "$1" "$2" "$3" wall_seconds
 }
 
 for grid in 16 8; do
@@ -102,6 +128,54 @@ for side in base head; do
 done
 compare_manifests "grid=8 sharded" "$WORK/base-job/merged.jsonl" \
     "$WORK/head-job/merged.jsonl"
+
+# submit SPOOL ID KIND [KEY=VALUE...]: queue one request on a 4-layer 8x8
+# stack.
+submit() {
+  local spool=$1 id=$2 kind=$3
+  shift 3
+  mkdir -p "$spool/incoming"
+  printf 'kind = %s\nlayers = 4\ngrid = 8\n' "$kind" >"$spool/req.tmp"
+  for kv in "$@"; do printf '%s\n' "${kv/=/ = }" >>"$spool/req.tmp"; done
+  mv "$spool/req.tmp" "$spool/incoming/$id.req"
+}
+campaign_request=(trials=4 seed=7)
+for side in base head; do
+  cli=$BASE_CLI
+  [ "$side" = head ] && cli=$HEAD_CLI
+  echo "== $side: serve (campaign, contingency, ride-through, sweep) =="
+  spool="$WORK/$side-spool"
+  submit "$spool" c1 campaign "${campaign_request[@]}"
+  submit "$spool" n1 contingency mode=n-1
+  submit "$spool" r1 ride-through
+  submit "$spool" s1 sweep figure=6
+  "$cli" serve --spool="$spool" --max-requests=4 --idle-exit=1 >/dev/null
+  echo "== $side: serve --shard-workers=2 (campaign) =="
+  fleet="$WORK/$side-fleet"
+  submit "$fleet" c1 campaign "${campaign_request[@]}"
+  "$cli" serve --spool="$fleet" --max-requests=1 --idle-exit=1 \
+      --shard-workers=2 >/dev/null
+  echo "== $side: campaign --layers=4 --grid=8 --trials=4 --seed=7 =="
+  "$cli" campaign --layers=4 --grid=8 --trials=4 --seed=7 --timeout=0 \
+      --jobs=4 --manifest="$WORK/$side-c1.jsonl" >/dev/null
+  compare_manifests "$side: serve manifest vs campaign" \
+      "$spool/manifests/c1.jsonl" "$WORK/$side-c1.jsonl"
+  compare_manifests "$side: serve --shard-workers merged vs campaign" \
+      "$fleet/jobs/c1/merged.jsonl" "$WORK/$side-c1.jsonl"
+done
+compare_manifests "serve manifest" "$WORK/base-spool/manifests/c1.jsonl" \
+    "$WORK/head-spool/manifests/c1.jsonl"
+compare_manifests "serve --shard-workers merged" \
+    "$WORK/base-fleet/jobs/c1/merged.jsonl" \
+    "$WORK/head-fleet/jobs/c1/merged.jsonl"
+compare_manifests "campaign --layers=4 --seed=7" "$WORK/base-c1.jsonl" \
+    "$WORK/head-c1.jsonl"
+for spool in spool fleet; do
+  compare_masked "serve $spool responses" \
+      "$WORK/base-$spool/results/responses.jsonl" \
+      "$WORK/head-$spool/results/responses.jsonl" \
+      wall_seconds attempts resumed evaluated
+done
 
 pgio="$ROOT/tests/data/pgio"
 # The built-in demo netlist of examples/spice_runner.cpp.
@@ -143,6 +217,8 @@ while read -r args; do
     status=1
   fi
 done <<EOF
+campaign --grid=8 --trials=2 --timeout=0 --compare --jobs=4
+campaign --grid=8 --trials=2 --timeout=0 --converters=4 --jobs=4
 contingency --layers=4 --grid=12 --top=8
 contingency --layers=4 --grid=12 --mc --trials=12 --faults=3 --seed=7
 contingency --netlist=$pgio/ladder4.spice --exhaustive
@@ -153,6 +229,11 @@ ride-through --grid=8 --keep=4 --verbose
 ride-through --netlist=$pgio/ladder4.spice
 ride-through --netlist=$pgio/mesh3x3.spice
 ride-through --netlist=$pgio/twonet_vias.spice
+sweep --figure=5a --jobs=4
+sweep --figure=5b --jobs=4
+sweep --figure=6 --jobs=4
+sweep --figure=7 --jobs=4
+sweep --figure=8 --jobs=4
 report --jobs=4
 import $pgio/ladder4.spice --solve
 import $pgio/mesh3x3.spice --solve

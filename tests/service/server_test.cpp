@@ -7,12 +7,15 @@
 
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/study.h"
 #include "service/request.h"
+#include "shard/job.h"
 
 namespace fs = std::filesystem;
 
@@ -162,6 +165,55 @@ TEST_F(ServerTest, ExpiredRequestDeadlineAnswersTimeout) {
   const auto lines = responses();
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_TRUE(has_field(lines[0], "\"status\":\"timeout\"")) << lines[0];
+}
+
+TEST_F(ServerTest, ExpiredDeadlineSweepAnswersNoRows) {
+  // The deadline fires before any figure row commits: the response counts
+  // (and hashes) the rows that were computed -- none -- not placeholders.
+  submit("fig", "id = fig\nkind = sweep\nfigure = 5a\ndeadline_s = 1e-9\n");
+  const ServerStats stats = SpoolServer(ctx(), fast_options()).run();
+  EXPECT_EQ(stats.timeout, 1u);
+  const auto lines = responses();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_TRUE(has_field(lines[0], "\"status\":\"timeout\"")) << lines[0];
+  EXPECT_TRUE(has_field(lines[0], "\"rows\":0,")) << lines[0];
+}
+
+TEST_F(ServerTest, CampaignRequestRunsTheSharedRecipe) {
+  // A campaign request is built by shard::make_campaign: its manifest must
+  // equal the one CampaignRunner writes for the matching JobSpec.
+  submit("camp", "id = camp\nkind = campaign\ntopology = stacked\n"
+                 "layers = 2\ngrid = 4\ntrials = 2\nseed = 7\n");
+  const ServerStats stats = SpoolServer(ctx(), fast_options()).run();
+  ASSERT_EQ(stats.ok, 1u);
+
+  shard::JobSpec spec;
+  spec.stacked = true;
+  spec.layers = 2;
+  spec.grid = 4;
+  spec.imbalance = 0.8;
+  spec.trials = 2;
+  spec.faults_per_trial = 2;
+  spec.converter_faults_per_trial = 32;  // stacked
+  spec.seed = 7;
+  spec.duration_s = 400e-9;
+  spec.fault_time_s = 50e-9;  // duration / 8
+  spec.scenario_timeout_s = 0.0;
+  shard::CampaignSetup campaign = shard::make_campaign(ctx(), spec);
+  campaign.options.manifest_path = (root_ / "reference.jsonl").string();
+  core::CampaignRunner(ctx(), campaign.config)
+      .run(campaign.activities, campaign.options);
+
+  const auto masked = [](const fs::path& path) {
+    std::ifstream in(path);
+    std::ostringstream oss;
+    oss << in.rdbuf();
+    static const std::regex wall(R"re("wall_seconds":[^,}]*)re");
+    return std::regex_replace(oss.str(), wall, "\"wall_seconds\":X");
+  };
+  const std::string served = masked(root_ / "manifests" / "camp.jsonl");
+  EXPECT_FALSE(served.empty());
+  EXPECT_EQ(served, masked(root_ / "reference.jsonl"));
 }
 
 TEST_F(ServerTest, RecoversUnansweredActiveRequest) {

@@ -203,6 +203,62 @@ int cmd_thermal(const core::StudyContext& ctx, const CliArgs& args) {
   return 0;
 }
 
+// One printer per paper figure, shared by `sweep` and `report`.
+
+void print_fig5a(const std::vector<core::Fig5aRow>& rows) {
+  TextTable t({"Layers", "Reg Dense", "Reg Sparse", "Reg Few", "V-S Few"});
+  for (const auto& r : rows) {
+    t.add_row({std::to_string(r.layers), TextTable::num(r.reg_dense, 3),
+               TextTable::num(r.reg_sparse, 3), TextTable::num(r.reg_few, 3),
+               TextTable::num(r.vs_few, 3)});
+  }
+  t.print(std::cout);
+}
+
+void print_fig5b(const std::vector<core::Fig5bRow>& rows) {
+  TextTable t({"Layers", "25%", "50%", "75%", "100%", "V-S"});
+  for (const auto& r : rows) {
+    t.add_row({std::to_string(r.layers), TextTable::num(r.reg_25, 3),
+               TextTable::num(r.reg_50, 3), TextTable::num(r.reg_75, 3),
+               TextTable::num(r.reg_100, 3), TextTable::num(r.vs, 3)});
+  }
+  t.print(std::cout);
+}
+
+void print_fig6(const core::Fig6Result& result) {
+  TextTable t({"Imbalance", "2/core", "4/core", "6/core", "8/core"});
+  for (const auto& row : result.rows) {
+    std::vector<std::string> cells{TextTable::percent(row.imbalance, 0)};
+    for (const auto& v : row.vs_noise) {
+      cells.push_back(v ? TextTable::percent(*v, 2) : "-");
+    }
+    t.add_row(std::move(cells));
+  }
+  t.print(std::cout);
+}
+
+void print_fig7(const std::vector<power::ApplicationPowerSummary>& apps) {
+  TextTable t({"Application", "Median (W)", "Max Imbalance"});
+  for (const auto& app : apps) {
+    t.add_row({app.name, TextTable::num(app.power.median, 3),
+               TextTable::percent(app.max_imbalance, 1)});
+  }
+  t.print(std::cout);
+}
+
+void print_fig8(const core::Fig8Result& result) {
+  TextTable t({"Imbalance", "2/core", "4/core", "6/core", "8/core", "Reg+SC"});
+  for (const auto& row : result.rows) {
+    std::vector<std::string> cells{TextTable::percent(row.imbalance, 0)};
+    for (const auto& v : row.vs_efficiency) {
+      cells.push_back(v ? TextTable::percent(*v, 1) : "-");
+    }
+    cells.push_back(TextTable::percent(row.regular_sc, 1));
+    t.add_row(std::move(cells));
+  }
+  t.print(std::cout);
+}
+
 int cmd_sweep(const core::StudyContext& ctx, const CliArgs& args) {
   const std::string figure = args.get_string("figure", "");
   VS_REQUIRE(!figure.empty(), "sweep requires --figure=5a|5b|6|7|8");
@@ -210,52 +266,15 @@ int cmd_sweep(const core::StudyContext& ctx, const CliArgs& args) {
   sweep_options.execution = resolve_execution(args);
   const core::SweepRunner sweeps(ctx, sweep_options);
   if (figure == "5a") {
-    TextTable t({"Layers", "Reg Dense", "Reg Sparse", "Reg Few", "V-S Few"});
-    for (const auto& r : sweeps.fig5a()) {
-      t.add_row({std::to_string(r.layers), TextTable::num(r.reg_dense, 3),
-                 TextTable::num(r.reg_sparse, 3),
-                 TextTable::num(r.reg_few, 3), TextTable::num(r.vs_few, 3)});
-    }
-    t.print(std::cout);
+    print_fig5a(sweeps.fig5a());
   } else if (figure == "5b") {
-    TextTable t({"Layers", "25%", "50%", "75%", "100%", "V-S"});
-    for (const auto& r : sweeps.fig5b()) {
-      t.add_row({std::to_string(r.layers), TextTable::num(r.reg_25, 3),
-                 TextTable::num(r.reg_50, 3), TextTable::num(r.reg_75, 3),
-                 TextTable::num(r.reg_100, 3), TextTable::num(r.vs, 3)});
-    }
-    t.print(std::cout);
+    print_fig5b(sweeps.fig5b());
   } else if (figure == "6") {
-    const auto result = sweeps.fig6({0.0, 0.25, 0.5, 0.75, 1.0});
-    TextTable t({"Imbalance", "2/core", "4/core", "6/core", "8/core"});
-    for (const auto& row : result.rows) {
-      std::vector<std::string> cells{TextTable::percent(row.imbalance, 0)};
-      for (const auto& v : row.vs_noise) {
-        cells.push_back(v ? TextTable::percent(*v, 2) : "-");
-      }
-      t.add_row(std::move(cells));
-    }
-    t.print(std::cout);
+    print_fig6(sweeps.fig6({0.0, 0.25, 0.5, 0.75, 1.0}));
   } else if (figure == "7") {
-    TextTable t({"Application", "Median (W)", "Max Imbalance"});
-    for (const auto& app : sweeps.fig7()) {
-      t.add_row({app.name, TextTable::num(app.power.median, 3),
-                 TextTable::percent(app.max_imbalance, 1)});
-    }
-    t.print(std::cout);
+    print_fig7(sweeps.fig7());
   } else if (figure == "8") {
-    const auto result = sweeps.fig8({0.1, 0.3, 0.5, 0.7, 0.9});
-    TextTable t({"Imbalance", "2/core", "4/core", "6/core", "8/core",
-                 "Reg+SC"});
-    for (const auto& row : result.rows) {
-      std::vector<std::string> cells{TextTable::percent(row.imbalance, 0)};
-      for (const auto& v : row.vs_efficiency) {
-        cells.push_back(v ? TextTable::percent(*v, 1) : "-");
-      }
-      cells.push_back(TextTable::percent(row.regular_sc, 1));
-      t.add_row(std::move(cells));
-    }
-    t.print(std::cout);
+    print_fig8(sweeps.fig8({0.1, 0.3, 0.5, 0.7, 0.9}));
   } else {
     VS_FAIL("unknown figure '" + figure + "' (5a|5b|6|7|8)");
   }
@@ -269,39 +288,15 @@ int cmd_report(const core::StudyContext& ctx, const CliArgs& args) {
   const core::SweepRunner sweeps(ctx, sweep_options);
   std::cout << "# vstack reproduction report\n";
   std::cout << "\n## Fig 5a -- TSV EM lifetime (normalized to 2-layer V-S)\n";
-  {
-    TextTable t({"Layers", "Reg Dense", "Reg Sparse", "Reg Few", "V-S Few"});
-    for (const auto& r : sweeps.fig5a()) {
-      t.add_row({std::to_string(r.layers), TextTable::num(r.reg_dense, 3),
-                 TextTable::num(r.reg_sparse, 3),
-                 TextTable::num(r.reg_few, 3), TextTable::num(r.vs_few, 3)});
-    }
-    t.print(std::cout);
-  }
+  print_fig5a(sweeps.fig5a());
   std::cout << "\n## Fig 5b -- C4 EM lifetime\n";
-  {
-    TextTable t({"Layers", "25%", "50%", "75%", "100%", "V-S"});
-    for (const auto& r : sweeps.fig5b()) {
-      t.add_row({std::to_string(r.layers), TextTable::num(r.reg_25, 3),
-                 TextTable::num(r.reg_50, 3), TextTable::num(r.reg_75, 3),
-                 TextTable::num(r.reg_100, 3), TextTable::num(r.vs, 3)});
-    }
-    t.print(std::cout);
-  }
+  print_fig5b(sweeps.fig5b());
   std::cout << "\n## Fig 6 -- voltage noise vs imbalance (8 layers)\n";
   {
     std::vector<double> imbalances;
     for (int x = 0; x <= 100; x += 10) imbalances.push_back(x / 100.0);
     const auto result = sweeps.fig6(imbalances);
-    TextTable t({"Imbalance", "2/core", "4/core", "6/core", "8/core"});
-    for (const auto& row : result.rows) {
-      std::vector<std::string> cells{TextTable::percent(row.imbalance, 0)};
-      for (const auto& v : row.vs_noise) {
-        cells.push_back(v ? TextTable::percent(*v, 2) : "-");
-      }
-      t.add_row(std::move(cells));
-    }
-    t.print(std::cout);
+    print_fig6(result);
     std::cout << "regular refs: Dense " << TextTable::percent(result.reg_dense, 2)
               << ", Sparse " << TextTable::percent(result.reg_sparse, 2)
               << ", Few " << TextTable::percent(result.reg_few, 2) << "\n";
@@ -309,12 +304,7 @@ int cmd_report(const core::StudyContext& ctx, const CliArgs& args) {
   std::cout << "\n## Fig 7 -- PARSEC workload imbalance\n";
   {
     const auto campaign = sweeps.fig7();
-    TextTable t({"Application", "Median (W)", "Max Imbalance"});
-    for (const auto& app : campaign) {
-      t.add_row({app.name, TextTable::num(app.power.median, 3),
-                 TextTable::percent(app.max_imbalance, 1)});
-    }
-    t.print(std::cout);
+    print_fig7(campaign);
     std::cout << "mean max-imbalance: "
               << TextTable::percent(power::mean_max_imbalance(campaign), 1)
               << " (paper: 65%)\n";
@@ -323,18 +313,7 @@ int cmd_report(const core::StudyContext& ctx, const CliArgs& args) {
   {
     std::vector<double> imbalances;
     for (int x = 10; x <= 100; x += 10) imbalances.push_back(x / 100.0);
-    const auto result = sweeps.fig8(imbalances);
-    TextTable t({"Imbalance", "2/core", "4/core", "6/core", "8/core",
-                 "Reg+SC"});
-    for (const auto& row : result.rows) {
-      std::vector<std::string> cells{TextTable::percent(row.imbalance, 0)};
-      for (const auto& v : row.vs_efficiency) {
-        cells.push_back(v ? TextTable::percent(*v, 1) : "-");
-      }
-      cells.push_back(TextTable::percent(row.regular_sc, 1));
-      t.add_row(std::move(cells));
-    }
-    t.print(std::cout);
+    print_fig8(sweeps.fig8(imbalances));
   }
   std::cout << "\nSee EXPERIMENTS.md for paper-vs-measured commentary.\n";
   return 0;
@@ -350,21 +329,6 @@ void print_trail(const sim::TransientReport& report) {
   if (report.events_dropped > 0) {
     std::cout << "  (+" << report.events_dropped << " more events dropped)\n";
   }
-}
-
-/// Shared supervisor policy for the CLI's transient fault commands; the
-/// recovery band is calibrated so phase rebalance + frequency retarget can
-/// actually re-enter it on a partially-lost converter bank (see
-/// docs/fault_model.md).
-sc::SupervisorConfig cli_supervisor_policy() {
-  sc::SupervisorConfig sup;
-  sup.trip_fraction = 0.10;
-  sup.recovery_fraction = 0.08;
-  sup.sense_interval = 5e-9;
-  sup.detection_latency = 20e-9;
-  sup.action_dwell = 60e-9;
-  sup.watchdog_timeout = 1e-6;
-  return sup;
 }
 
 // Imported-benchmark routes; defined with the other pgio commands below.
@@ -385,31 +349,21 @@ int cmd_ride_through(const core::StudyContext& ctx, const CliArgs& args) {
 
   pdn::RideThroughOptions opt;
   opt.transient.duration = args.get_double("duration", 4e-6);
-  opt.supervisor = cli_supervisor_policy();
+  opt.supervisor = core::calibrated_supervisor_policy();
+  opt.supervisor.watchdog_timeout = 1e-6;  // the demo keeps a 1 us watchdog
 
   // Demo scenario: most of one intermediate rail's converter bank sticks
   // off mid-run, leaving `keep` surviving phases.
   const std::size_t fault_level = args.get_size(
       "fault-level", std::min<std::size_t>(3, cfg.layer_count - 1));
-  const std::size_t keep = args.get_size("keep", 32);
-  VS_REQUIRE(fault_level >= 1 && fault_level < cfg.layer_count,
-             "--fault-level must name an intermediate rail (1..layers-1)");
-  pdn::TimedFaultEvent ev;
-  ev.time = args.get_double("fault-time", 2e-6);
-  ev.label = "converter bank stuck-off";
-  std::size_t seen = 0;
-  const auto& converters = model.network().converters();
-  for (std::size_t i = 0; i < converters.size(); ++i) {
-    if (converters[i].level != fault_level) continue;
-    if (seen++ >= keep) ev.faults.converter_stuck_off(i);
-  }
-  VS_REQUIRE(seen > 0, "no converters at level " +
-                           std::to_string(fault_level) +
-                           " (regular topology? try --topology=stacked)");
-  std::cout << "fault: " << ev.faults.size() << " of " << seen
-            << " converters at level " << fault_level << " stuck off at "
-            << TextTable::num(ev.time * 1e9, 1) << " ns\n";
-  opt.transient.fault_events.push_back(std::move(ev));
+  const pdn::ConverterBankFault fault = pdn::converter_bank_fault(
+      model, fault_level, args.get_size("keep", 32),
+      args.get_double("fault-time", 2e-6));
+  std::cout << "fault: " << fault.event.faults.size() << " of "
+            << fault.bank_size << " converters at level " << fault_level
+            << " stuck off at " << TextTable::num(fault.event.time * 1e9, 1)
+            << " ns\n";
+  opt.transient.fault_events.push_back(fault.event);
 
   if (args.get_size("jobs", 1) > 1) {
     std::cout << "note: ride-through is a single scenario; --jobs only "
@@ -460,25 +414,25 @@ std::string self_exe_path() {
 }
 
 int cmd_campaign(const core::StudyContext& ctx, const CliArgs& args) {
+  // The flags fill a shard::JobSpec, and shard::make_campaign builds the
+  // campaign from it, as it does for the service and every shard worker.
+  // --config and --converters reach only the serial runner, through the
+  // resolved config.
   const auto cfg = resolve_config(ctx, args);
-  const double imbalance = args.get_double("imbalance", 0.8);
-  const auto acts =
-      power::interleaved_layer_activities(cfg.layer_count, imbalance);
-
-  core::CampaignOptions opt;
-  opt.contingency.trials = args.get_size("trials", 8);
-  opt.contingency.faults_per_trial = args.get_size("faults", 2);
-  opt.contingency.converter_faults_per_trial =
-      args.get_size("conv-faults", cfg.is_voltage_stacked() ? 32 : 0);
-  opt.contingency.seed = args.get_size("seed", opt.contingency.seed);
-  opt.ride_through.transient.duration = args.get_double("duration", 400e-9);
-  opt.ride_through.supervisor = cli_supervisor_policy();
-  opt.ride_through.supervisor.watchdog_timeout = 300e-9;
-  opt.fault_time = args.get_double("fault-time", 50e-9);
-  opt.scenario_timeout_s = args.get_double("timeout", opt.scenario_timeout_s);
-  opt.max_retries = args.get_size("retries", opt.max_retries);
-  opt.manifest_path = args.get_string("manifest", "");
-  opt.execution = resolve_execution(args);
+  shard::JobSpec spec;
+  spec.stacked = cfg.is_voltage_stacked();
+  spec.layers = cfg.layer_count;
+  spec.grid = cfg.grid_nx;
+  spec.imbalance = args.get_double("imbalance", spec.imbalance);
+  spec.trials = args.get_size("trials", spec.trials);
+  spec.faults_per_trial = args.get_size("faults", spec.faults_per_trial);
+  spec.converter_faults_per_trial =
+      args.get_size("conv-faults", spec.stacked ? 32 : 0);
+  spec.seed = args.get_size("seed", spec.seed);
+  spec.duration_s = args.get_double("duration", spec.duration_s);
+  spec.fault_time_s = args.get_double("fault-time", spec.fault_time_s);
+  spec.scenario_timeout_s = args.get_double("timeout", 30.0);
+  spec.max_retries = args.get_size("retries", spec.max_retries);
 
   if (args.has("shards")) {
     // Multi-process fleet: supervisor + N worker processes against a
@@ -491,21 +445,6 @@ int cmd_campaign(const core::StudyContext& ctx, const CliArgs& args) {
                "--converters");
     VS_REQUIRE(!args.get_bool("compare"),
                "--shards and --compare are mutually exclusive");
-    shard::JobSpec spec;
-    spec.stacked = cfg.topology == pdn::PdnTopology::VoltageStacked;
-    spec.layers = cfg.layer_count;
-    spec.grid = cfg.grid_nx;
-    spec.imbalance = imbalance;
-    spec.trials = opt.contingency.trials;
-    spec.faults_per_trial = opt.contingency.faults_per_trial;
-    spec.converter_faults_per_trial =
-        opt.contingency.converter_faults_per_trial;
-    spec.seed = opt.contingency.seed;
-    spec.duration_s = opt.ride_through.transient.duration;
-    spec.fault_time_s = opt.fault_time;
-    spec.scenario_timeout_s = opt.scenario_timeout_s;
-    spec.max_retries = opt.max_retries;
-    spec.retry_relax = opt.retry_tolerance_relax;
     spec.chunk = args.get_size("chunk", spec.chunk);
     spec.max_attempts = args.get_size("max-attempts", spec.max_attempts);
     spec.lease_expiry_s = args.get_double("lease-expiry", spec.lease_expiry_s);
@@ -532,22 +471,26 @@ int cmd_campaign(const core::StudyContext& ctx, const CliArgs& args) {
     return result.merge.clean() ? 0 : 2;
   }
 
+  shard::CampaignSetup campaign = shard::make_campaign(ctx, spec);
+  core::CampaignOptions& opt = campaign.options;
+  opt.manifest_path = args.get_string("manifest", "");
+  opt.execution = resolve_execution(args);
+
   if (args.get_bool("compare")) {
     pdn::StackupConfig stacked = cfg;
     stacked.topology = pdn::PdnTopology::VoltageStacked;
     pdn::StackupConfig regular = cfg;
     regular.topology = pdn::PdnTopology::Regular3d;
-    const auto table = core::compare_survivability(ctx, stacked, regular,
-                                                   acts, opt);
+    const auto table = core::compare_survivability(
+        ctx, stacked, regular, campaign.activities, opt);
     std::cout << "stacked vs regular-3D transient survivability ("
-              << opt.contingency.trials << " trials, seed "
-              << opt.contingency.seed << "):\n"
+              << spec.trials << " trials, seed " << spec.seed << "):\n"
               << table.format();
     return 0;
   }
 
   const core::CampaignRunner runner(ctx, cfg);
-  const auto report = runner.run(acts, opt);
+  const auto report = runner.run(campaign.activities, opt);
 
   TextTable t({"Scenario", "Outcome", "Detected", "Worst", "Final",
                "Attempts", "Source"});
@@ -581,6 +524,25 @@ const char* outcome_name(core::CaseOutcome outcome) {
     case core::CaseOutcome::Infeasible: return "INFEASIBLE";
   }
   return "?";
+}
+
+/// The closing lines of both contingency routes: the outcome tally, the
+/// worst post-fault deviation against the budget, and each case's
+/// diagnostic.  Returns the exit code: 3 when a case is infeasible.
+int print_contingency_summary(const core::ContingencyReport& report,
+                              double noise_budget_fraction) {
+  std::cout << "\nsummary: " << report.survivable << " survivable, "
+            << report.degraded << " degraded, " << report.infeasible
+            << " infeasible; worst post-fault deviation "
+            << TextTable::percent(report.worst_post_fault_deviation, 2)
+            << " (budget " << TextTable::percent(noise_budget_fraction, 0)
+            << ")\n";
+  for (const auto& c : report.cases) {
+    if (!c.diagnostic.empty()) {
+      std::cout << "  " << c.label << ": " << c.diagnostic << "\n";
+    }
+  }
+  return report.infeasible > 0 ? 3 : 0;
 }
 
 int cmd_contingency(const core::StudyContext& ctx, const CliArgs& args) {
@@ -635,19 +597,7 @@ int cmd_contingency(const core::StudyContext& ctx, const CliArgs& args) {
                    std::to_string(c.solve_attempts)});
   }
   cases.print(std::cout);
-
-  std::cout << "\nsummary: " << report.survivable << " survivable, "
-            << report.degraded << " degraded, " << report.infeasible
-            << " infeasible; worst post-fault deviation "
-            << TextTable::percent(report.worst_post_fault_deviation, 2)
-            << " (budget "
-            << TextTable::percent(opts.noise_budget_fraction, 0) << ")\n";
-  for (const auto& c : report.cases) {
-    if (!c.diagnostic.empty()) {
-      std::cout << "  " << c.label << ": " << c.diagnostic << "\n";
-    }
-  }
-  return report.infeasible > 0 ? 3 : 0;
+  return print_contingency_summary(report, opts.noise_budget_fraction);
 }
 
 int cmd_serve(const core::StudyContext& ctx, const CliArgs& args) {
@@ -961,19 +911,7 @@ int cmd_contingency_netlist(const CliArgs& args) {
                    std::to_string(c.solve_attempts)});
   }
   cases.print(std::cout);
-
-  std::cout << "\nsummary: " << report.survivable << " survivable, "
-            << report.degraded << " degraded, " << report.infeasible
-            << " infeasible; worst post-fault deviation "
-            << TextTable::percent(report.worst_post_fault_deviation, 2)
-            << " (budget "
-            << TextTable::percent(opts.noise_budget_fraction, 0) << ")\n";
-  for (const auto& c : report.cases) {
-    if (!c.diagnostic.empty()) {
-      std::cout << "  " << c.label << ": " << c.diagnostic << "\n";
-    }
-  }
-  return report.infeasible > 0 ? 3 : 0;
+  return print_contingency_summary(report, opts.noise_budget_fraction);
 }
 
 /// `ride-through --netlist=FILE`: load-step transient on an imported grid.
