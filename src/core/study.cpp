@@ -60,18 +60,25 @@ pdn::StackupConfig make_stacked(const StudyContext& ctx, std::size_t layers,
   return cfg;
 }
 
-ScenarioResult evaluate_scenario(const StudyContext& ctx,
-                                 const pdn::StackupConfig& config,
-                                 const std::vector<double>& layer_activities) {
-  pdn::PdnModel model(config, ctx.layer_floorplan);
-  ScenarioResult result;
-  result.solution = model.solve_activities(ctx.core_model, layer_activities);
+pdn::PdnSolution solve_scenario(const StudyContext& ctx,
+                                const pdn::StackupConfig& config,
+                                const std::vector<double>& layer_activities) {
+  const pdn::PdnModel model(config, ctx.layer_floorplan);
+  pdn::PdnSolution solution =
+      model.solve_activities(ctx.core_model, layer_activities);
   // The study pipeline only evaluates healthy (fault-free) networks, where
   // a failed solve indicates a modeling bug, not expected degradation --
   // fault campaigns go through core/contingency.h, which inspects the
   // report instead.
-  VS_REQUIRE(result.solution.solve_ok,
-             "PDN solve failed: " + result.solution.diagnostic);
+  VS_REQUIRE(solution.solve_ok, "PDN solve failed: " + solution.diagnostic);
+  return solution;
+}
+
+ScenarioResult evaluate_scenario(const StudyContext& ctx,
+                                 const pdn::StackupConfig& config,
+                                 const std::vector<double>& layer_activities) {
+  ScenarioResult result;
+  result.solution = solve_scenario(ctx, config, layer_activities);
   result.tsv_mttf = em::array_mttf(result.solution.tsv_currents, ctx.black,
                                    ctx.mttf_options);
   result.c4_mttf = em::array_mttf(result.solution.c4_pad_currents, ctx.black,

@@ -54,8 +54,13 @@ struct ScenarioResult {
   double c4_mttf = 0.0;   // same for the C4 pad array
 };
 
-/// Build, solve, and post-process one scenario at the given per-layer
-/// activities (both MTTF metrics computed from the solved currents).
+/// Build and solve one healthy scenario at the given per-layer activities;
+/// a failed solve throws (a modeling bug on an unfaulted network).
+pdn::PdnSolution solve_scenario(const StudyContext& ctx,
+                                const pdn::StackupConfig& config,
+                                const std::vector<double>& layer_activities);
+
+/// solve_scenario plus both MTTF metrics from the solved currents.
 ScenarioResult evaluate_scenario(const StudyContext& ctx,
                                  const pdn::StackupConfig& config,
                                  const std::vector<double>& layer_activities);

@@ -2,6 +2,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "em/array_mttf.h"
 #include "telemetry/telemetry.h"
 
 namespace vstack::core {
@@ -12,11 +13,26 @@ std::vector<double> full_activity(std::size_t layers) {
   return std::vector<double>(layers, 1.0);
 }
 
+/// EM-free MTTF of one fully active scenario's TSV array: the only lifetime
+/// Fig. 5a plots.
+double tsv_mttf(const StudyContext& ctx, const pdn::StackupConfig& config) {
+  return em::array_mttf(
+      solve_scenario(ctx, config, full_activity(config.layer_count))
+          .tsv_currents,
+      ctx.black, ctx.mttf_options);
+}
+
+/// Same for the C4 pad array: the only lifetime Fig. 5b plots.
+double c4_mttf(const StudyContext& ctx, const pdn::StackupConfig& config) {
+  return em::array_mttf(
+      solve_scenario(ctx, config, full_activity(config.layer_count))
+          .c4_pad_currents,
+      ctx.black, ctx.mttf_options);
+}
+
 /// The 2-layer V-S design both Fig. 5 plots normalize to.
-ScenarioResult vs_baseline(const StudyContext& ctx) {
-  const auto cfg = make_stacked(ctx, 2, ctx.base.tsv,
-                                ctx.base.converters_per_core);
-  return evaluate_scenario(ctx, cfg, full_activity(2));
+pdn::StackupConfig vs_baseline(const StudyContext& ctx) {
+  return make_stacked(ctx, 2, ctx.base.tsv, ctx.base.converters_per_core);
 }
 
 }  // namespace
@@ -25,8 +41,9 @@ std::vector<Fig5aRow> run_fig5a(const StudyContext& ctx,
                                 const std::vector<std::size_t>& layer_counts,
                                 const ExecutionPolicy& execution) {
   VS_SPAN("core.sweep.fig5a");
-  const ScenarioResult baseline = vs_baseline(ctx);
-  VS_REQUIRE(baseline.tsv_mttf > 0.0, "baseline TSV MTTF must be positive");
+  if (execution.deadline.expired()) return {};  // before the baseline solve
+  const double baseline = tsv_mttf(ctx, vs_baseline(ctx));
+  VS_REQUIRE(baseline > 0.0, "baseline TSV MTTF must be positive");
 
   // One row per layer count, each evaluating four independent scenarios on
   // its own models: rows fan out on the pool and land in sweep order.
@@ -36,36 +53,20 @@ std::vector<Fig5aRow> run_fig5a(const StudyContext& ctx,
       layer_counts.size(),
       [&](std::size_t r) {
         const std::size_t layers = layer_counts[r];
+        const auto regular = [&](const pdn::TsvConfig& tsv) {
+          return tsv_mttf(ctx, make_regular(ctx, layers, tsv,
+                                            ctx.base.power_c4_fraction)) /
+                 baseline;
+        };
         Fig5aRow row;
         row.layers = layers;
-        const auto acts = full_activity(layers);
-        row.reg_dense =
-            evaluate_scenario(
-                ctx, make_regular(ctx, layers, pdn::TsvConfig::dense(),
-                                  ctx.base.power_c4_fraction),
-                acts)
-                .tsv_mttf /
-            baseline.tsv_mttf;
-        row.reg_sparse =
-            evaluate_scenario(ctx,
-                              make_regular(ctx, layers,
-                                           pdn::TsvConfig::sparse(),
-                                           ctx.base.power_c4_fraction),
-                              acts)
-                .tsv_mttf /
-            baseline.tsv_mttf;
-        row.reg_few = evaluate_scenario(
-                          ctx, make_regular(ctx, layers, pdn::TsvConfig::few(),
-                                            ctx.base.power_c4_fraction),
-                          acts)
-                          .tsv_mttf /
-                      baseline.tsv_mttf;
-        row.vs_few = evaluate_scenario(
-                         ctx, make_stacked(ctx, layers, pdn::TsvConfig::few(),
-                                           ctx.base.converters_per_core),
-                         acts)
-                         .tsv_mttf /
-                     baseline.tsv_mttf;
+        row.reg_dense = regular(pdn::TsvConfig::dense());
+        row.reg_sparse = regular(pdn::TsvConfig::sparse());
+        row.reg_few = regular(pdn::TsvConfig::few());
+        row.vs_few =
+            tsv_mttf(ctx, make_stacked(ctx, layers, pdn::TsvConfig::few(),
+                                       ctx.base.converters_per_core)) /
+            baseline;
         rows[r] = row;
       },
       [](std::size_t) {});
@@ -77,8 +78,9 @@ std::vector<Fig5bRow> run_fig5b(const StudyContext& ctx,
                                 const std::vector<std::size_t>& layer_counts,
                                 const ExecutionPolicy& execution) {
   VS_SPAN("core.sweep.fig5b");
-  const ScenarioResult baseline = vs_baseline(ctx);
-  VS_REQUIRE(baseline.c4_mttf > 0.0, "baseline C4 MTTF must be positive");
+  if (execution.deadline.expired()) return {};  // before the baseline solve
+  const double baseline = c4_mttf(ctx, vs_baseline(ctx));
+  VS_REQUIRE(baseline > 0.0, "baseline C4 MTTF must be positive");
 
   std::vector<Fig5bRow> rows(layer_counts.size());
   const TaskPool pool(execution);
@@ -86,26 +88,20 @@ std::vector<Fig5bRow> run_fig5b(const StudyContext& ctx,
       layer_counts.size(),
       [&](std::size_t r) {
         const std::size_t layers = layer_counts[r];
+        const auto regular = [&](double fraction) {
+          return c4_mttf(ctx, make_regular(ctx, layers, ctx.base.tsv,
+                                           fraction)) /
+                 baseline;
+        };
         Fig5bRow row;
         row.layers = layers;
-        const auto acts = full_activity(layers);
-        const auto reg_at = [&](double fraction) {
-          return evaluate_scenario(
-                     ctx, make_regular(ctx, layers, ctx.base.tsv, fraction),
-                     acts)
-                     .c4_mttf /
-                 baseline.c4_mttf;
-        };
-        row.reg_25 = reg_at(0.25);
-        row.reg_50 = reg_at(0.50);
-        row.reg_75 = reg_at(0.75);
-        row.reg_100 = reg_at(1.00);
-        row.vs = evaluate_scenario(ctx,
-                                   make_stacked(ctx, layers, ctx.base.tsv,
-                                                ctx.base.converters_per_core),
-                                   acts)
-                     .c4_mttf /
-                 baseline.c4_mttf;
+        row.reg_25 = regular(0.25);
+        row.reg_50 = regular(0.50);
+        row.reg_75 = regular(0.75);
+        row.reg_100 = regular(1.00);
+        row.vs = c4_mttf(ctx, make_stacked(ctx, layers, ctx.base.tsv,
+                                           ctx.base.converters_per_core)) /
+                 baseline;
         rows[r] = row;
       },
       [](std::size_t) {});
@@ -121,45 +117,64 @@ Fig6Result run_fig6(const StudyContext& ctx, std::size_t layers,
   Fig6Result result;
   result.converter_counts = converter_counts;
 
-  // Regular-PDN references: worst case is all layers fully active, so the
-  // imbalance assumption does not affect these lines (paper Fig. 6 caption).
-  const auto acts_full = full_activity(layers);
-  const auto reg_noise = [&](const pdn::TsvConfig& tsv) {
-    return evaluate_scenario(
-               ctx,
-               make_regular(ctx, layers, tsv, ctx.base.power_c4_fraction),
-               acts_full)
-        .solution.max_node_deviation_fraction;
-  };
-  result.reg_dense = reg_noise(pdn::TsvConfig::dense());
-  result.reg_sparse = reg_noise(pdn::TsvConfig::sparse());
-  result.reg_few = reg_noise(pdn::TsvConfig::few());
+  // Tasks [0, 3) are the regular-PDN references.  Their worst case is all
+  // layers fully active, so the imbalance assumption does not affect these
+  // lines (paper Fig. 6 caption).
+  constexpr std::size_t kReferences = 3;
+  const pdn::TsvConfig reference_tsvs[kReferences] = {
+      pdn::TsvConfig::dense(), pdn::TsvConfig::sparse(),
+      pdn::TsvConfig::few()};
+  double* const reference_noise[kReferences] = {
+      &result.reg_dense, &result.reg_sparse, &result.reg_few};
 
-  // One PdnModel per (imbalance, converter count) point, each owned by the
-  // row that builds it; rows fan out on the pool.
-  result.rows.resize(imbalances.size());
+  // Every other task is one converter count's column: one PdnModel, built
+  // and bound once, solves each imbalance from a cold start, which gives
+  // the bits a fresh model per point would.  Only the plotted cells are
+  // kept, never a column of PdnSolutions.
+  std::vector<std::vector<std::optional<double>>> columns(
+      converter_counts.size());
   const TaskPool pool(execution);
+  const std::size_t tasks = kReferences + converter_counts.size();
   const std::size_t committed = pool.run_ordered(
-      imbalances.size(),
-      [&](std::size_t r) {
-        Fig6Row row;
-        row.imbalance = imbalances[r];
-        for (const std::size_t conv : converter_counts) {
-          const auto cfg = make_stacked(ctx, layers, ctx.base.tsv, conv);
-          pdn::PdnModel model(cfg, ctx.layer_floorplan);
-          const auto sol = model.solve_activities(
+      tasks,
+      [&](std::size_t t) {
+        if (t < kReferences) {
+          *reference_noise[t] =
+              solve_scenario(ctx,
+                             make_regular(ctx, layers, reference_tsvs[t],
+                                          ctx.base.power_c4_fraction),
+                             full_activity(layers))
+                  .max_node_deviation_fraction;
+          return;
+        }
+        const pdn::PdnModel model(
+            make_stacked(ctx, layers, ctx.base.tsv,
+                         converter_counts[t - kReferences]),
+            ctx.layer_floorplan);
+        auto& column = columns[t - kReferences];
+        column.reserve(imbalances.size());
+        for (const double imbalance : imbalances) {
+          const auto sol = model.solve_cold(model.network().build_loads(
               ctx.core_model,
-              power::interleaved_layer_activities(layers, imbalances[r]));
+              power::interleaved_layer_activities(layers, imbalance)));
           if (sol.converter_limit_ok) {
-            row.vs_noise.emplace_back(sol.max_node_deviation_fraction);
+            column.emplace_back(sol.max_node_deviation_fraction);
           } else {
-            row.vs_noise.emplace_back(std::nullopt);  // paper skips these
+            column.emplace_back(std::nullopt);  // paper skips these
           }
         }
-        result.rows[r] = std::move(row);
       },
       [](std::size_t) {});
-  result.rows.resize(committed);  // a fired deadline keeps the prefix
+  // A row needs every column: a fired deadline returns no rows at all.
+  if (committed < tasks) return result;
+
+  result.rows.resize(imbalances.size());
+  for (std::size_t r = 0; r < imbalances.size(); ++r) {
+    result.rows[r].imbalance = imbalances[r];
+    for (const auto& column : columns) {
+      result.rows[r].vs_noise.push_back(column[r]);
+    }
+  }
   return result;
 }
 

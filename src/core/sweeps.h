@@ -3,13 +3,14 @@
 // paper's qualitative claims on them.
 //
 // Every driver whose points are independent (5a, 5b, 6, 8) takes an
-// ExecutionPolicy (default serial) and fans its rows out on the shared
-// worker pool (core/task_pool.h); rows land in sweep order either way, so
-// parallel output is bit-identical to serial.  Fig. 7 is a single seeded
-// sampling campaign and always runs serially.  SweepRunner bundles the
-// context + policy so callers (CLI, bench drivers) stop re-plumbing
-// StudyContext into every figure call; its defaults are the paper's sweep
-// shapes.
+// ExecutionPolicy (default serial) and fans its work out on the shared
+// worker pool (core/task_pool.h): one task per row, except Fig. 6, whose
+// tasks are its three regular references and one column per converter
+// count.  Results land in sweep order either way, so parallel output is
+// bit-identical to serial.  Fig. 7 is a single seeded sampling campaign and
+// always runs serially.  SweepRunner bundles the context + policy so
+// callers (CLI, benches) stop re-plumbing StudyContext into every
+// figure call; its defaults are the paper's sweep shapes.
 #pragma once
 
 #include <optional>
@@ -49,7 +50,10 @@ std::vector<Fig5bRow> run_fig5b(const StudyContext& ctx,
 
 /// Fig. 6: maximum on-chip voltage noise vs workload imbalance, 8-layer
 /// stack.  Entries where the converter current limit is violated are
-/// reported as std::nullopt (the paper skips those points).
+/// reported as std::nullopt (the paper skips those points).  Each converter
+/// count's model is built once and solves every imbalance cold, so every
+/// cell has the bits of a fresh model per point.  A row needs every
+/// column: a fired deadline returns no rows.
 struct Fig6Row {
   double imbalance = 0.0;
   std::vector<std::optional<double>> vs_noise;  // one per converter count

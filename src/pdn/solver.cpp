@@ -64,6 +64,12 @@ PdnSolution PdnModel::solve(const std::vector<LoadInjection>& loads,
   return solution;
 }
 
+PdnSolution PdnModel::solve_cold(const std::vector<LoadInjection>& loads,
+                                 const PdnSolveOptions& options) const {
+  last_solution_.clear();  // what a fresh model holds before its first solve
+  return solve(loads, options);
+}
+
 PdnSolution PdnModel::solve_activities(
     const power::CorePowerModel& model,
     const std::vector<double>& layer_activities,

@@ -88,6 +88,22 @@ struct PdnSolveOptions {
   la::PrecondKind preconditioner = la::PrecondKind::Auto;
 };
 
+/// One PDN network plus its cached assembled system.  The matrix, the
+/// floating-island map and the bound la::Solver (preconditioner, prepared
+/// backend form, Krylov workspace) are keyed on (topology epoch, converter
+/// series resistances, preconditioner tier) and reused by every solve whose
+/// key matches.
+///
+/// Two entry points differ only in the first CG run's initial guess:
+/// - solve() warm-starts from the previous converged solution, so its bits
+///   depend on what this model solved before;
+/// - solve_cold() starts from zero, so its result is bit-identical to
+///   solve() on a freshly built model of the same network, whatever this
+///   model solved before.  The la::Solver keeps no state between solves
+///   but its workspace, which each solve overwrites.
+/// Inside one call the two behave alike: a closed-loop refinement starts
+/// from the iterate before it, or from zero when its new resistances force
+/// a re-assembly.  A PdnModel is not safe for concurrent use.
 class PdnModel {
  public:
   PdnModel(const StackupConfig& config,
@@ -108,9 +124,15 @@ class PdnModel {
   /// calls and the previous solution warm-starts the next CG run -- Monte
   /// Carlo noise sampling re-solves the same system with new right-hand
   /// sides two orders of magnitude faster than a cold solve.
-  /// (Consequently a PdnModel is not safe for concurrent use.)
   PdnSolution solve(const std::vector<LoadInjection>& loads,
                     const PdnSolveOptions& options = {}) const;
+
+  /// solve() from a zero initial guess on the cached system: bit-identical
+  /// to a fresh model's solve(), without re-assembling or re-binding when
+  /// the cache key matches (sweeps over many right-hand sides on one
+  /// network).
+  PdnSolution solve_cold(const std::vector<LoadInjection>& loads,
+                         const PdnSolveOptions& options = {}) const;
 
   /// Convenience: build loads from per-layer activities and solve.
   PdnSolution solve_activities(const power::CorePowerModel& model,

@@ -622,6 +622,7 @@ class ServerRun {
 
     core::Fnv1a hash;
     std::size_t rows = 0;
+    std::size_t planned = so.layer_counts.size();  // 5a and 5b
     if (spec.figure == "5a") {
       for (const auto& r : sweeps.fig5a()) {
         ++rows;
@@ -642,20 +643,25 @@ class ServerRun {
         hash.f64(r.vs);
       }
     } else if (spec.figure == "6") {
-      const auto result = sweeps.fig6({0.0, 0.25, 0.5, 0.75, 1.0});
+      const std::vector<double> imbalances{0.0, 0.25, 0.5, 0.75, 1.0};
+      planned = imbalances.size();
+      const auto result = sweeps.fig6(imbalances);
       for (const auto& row : result.rows) {
         ++rows;
         hash.f64(row.imbalance);
         for (const auto& v : row.vs_noise) hash.f64(v ? *v : -1.0);
       }
     } else if (spec.figure == "7") {
+      planned = power::parsec_profiles().size();
       for (const auto& app : sweeps.fig7()) {
         ++rows;
         hash.f64(app.power.median);
         hash.f64(app.max_imbalance);
       }
     } else {
-      const auto result = sweeps.fig8({0.1, 0.3, 0.5, 0.7, 0.9});
+      const std::vector<double> imbalances{0.1, 0.3, 0.5, 0.7, 0.9};
+      planned = imbalances.size();
+      const auto result = sweeps.fig8(imbalances);
       for (const auto& row : result.rows) {
         ++rows;
         hash.f64(row.imbalance);
@@ -668,9 +674,9 @@ class ServerRun {
     agg << ",\"figure\":\"" << spec.figure << "\",\"rows\":" << rows
         << ",\"data_hash\":\"" << core::hex64(hash.h) << "\"";
     RunOutcome out;
-    // The figure sweeps return only the rows they committed; an expired
-    // deadline means the tail rows were skipped, so label it truncated.
-    out.cancelled = deadline.expired();
+    // The figure sweeps return only the rows they committed: the sweep was
+    // truncated exactly when rows are missing, whatever the clock says now.
+    out.cancelled = rows < planned;
     out.aggregates = agg.str();
     return out;
   }

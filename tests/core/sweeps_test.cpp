@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/error.h"
 #include "core/design_space.h"
+#include "telemetry/telemetry.h"
 
 namespace vstack::core {
 namespace {
@@ -157,6 +161,68 @@ TEST(SweepParallelTest, Fig6ParallelMatchesSerialBitwise) {
   }
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Fig. 6 solves each converter count's column on one model from cold
+// starts; every cell must keep the bits of the historic loop, one fresh
+// PdnModel per (imbalance, converter count) point, at any job count.
+TEST(SweepParallelTest, Fig6MatchesFreshModelPerPointBitwise) {
+  const std::size_t layers = 8;
+  const std::vector<std::size_t> converters{2, 4, 8};
+  const std::vector<double> imbalances{0.0, 0.25, 0.5, 0.75, 1.0};
+
+  std::vector<std::vector<std::optional<double>>> reference;
+  for (const double imbalance : imbalances) {
+    auto& row = reference.emplace_back();
+    for (const std::size_t conv : converters) {
+      const pdn::PdnModel model(
+          make_stacked(ctx(), layers, ctx().base.tsv, conv),
+          ctx().layer_floorplan);
+      const auto sol = model.solve_activities(
+          ctx().core_model,
+          power::interleaved_layer_activities(layers, imbalance));
+      row.push_back(sol.converter_limit_ok
+                        ? std::optional(sol.max_node_deviation_fraction)
+                        : std::nullopt);
+    }
+  }
+  ASSERT_FALSE(reference.back().front().has_value())
+      << "the grid must include a limit-violating point";
+  const auto reference_noise = [&](const pdn::TsvConfig& tsv) {
+    const pdn::PdnModel model(
+        make_regular(ctx(), layers, tsv, ctx().base.power_c4_fraction),
+        ctx().layer_floorplan);
+    return model
+        .solve_activities(ctx().core_model, std::vector<double>(layers, 1.0))
+        .max_node_deviation_fraction;
+  };
+
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const auto result = run_fig6(ctx(), layers, converters, imbalances,
+                                 ExecutionPolicy::parallel(jobs));
+    EXPECT_EQ(bits(result.reg_dense),
+              bits(reference_noise(pdn::TsvConfig::dense())));
+    EXPECT_EQ(bits(result.reg_sparse),
+              bits(reference_noise(pdn::TsvConfig::sparse())));
+    EXPECT_EQ(bits(result.reg_few),
+              bits(reference_noise(pdn::TsvConfig::few())));
+    ASSERT_EQ(result.rows.size(), imbalances.size());
+    for (std::size_t r = 0; r < imbalances.size(); ++r) {
+      EXPECT_EQ(bits(result.rows[r].imbalance), bits(imbalances[r]));
+      ASSERT_EQ(result.rows[r].vs_noise.size(), converters.size());
+      for (std::size_t c = 0; c < converters.size(); ++c) {
+        const auto& want = reference[r][c];
+        const auto& got = result.rows[r].vs_noise[c];
+        ASSERT_EQ(want.has_value(), got.has_value()) << r << "," << c;
+        if (want) {
+          EXPECT_EQ(bits(*want), bits(*got)) << r << "," << c;
+        }
+      }
+    }
+  }
+}
+
 // The facade must be a pure re-plumbing of the free functions: same rows,
 // no behavior of its own.
 TEST(SweepRunnerTest, FacadeMatchesFreeFunctions) {
@@ -193,6 +259,33 @@ TEST(SweepDeadlineTest, CancelledSweepsReturnNoRows) {
   designs.stacked_converter_counts = {2};
   designs.execution = cancelled;
   EXPECT_TRUE(enumerate_designs(ctx(), designs).empty());
+}
+
+// An expired deadline must not pay for work no row will use: not the
+// Fig. 5 baseline, not the Fig. 6 references.
+TEST(SweepDeadlineTest, ExpiredDeadlineSolvesNothing) {
+  ExecutionPolicy cancelled;
+  cancelled.deadline = Deadline::cancellable();
+  cancelled.deadline.cancel();
+  const auto dc_solves = [] {
+    return telemetry::snapshot().counter_value("pdn.dc.solves");
+  };
+
+  double before = dc_solves();
+  EXPECT_TRUE(run_fig5a(ctx(), {2, 4}, cancelled).empty());
+#if VSTACK_TELEMETRY_ENABLED
+  EXPECT_EQ(dc_solves() - before, 0.0) << "fig5a";
+#endif
+  before = dc_solves();
+  EXPECT_TRUE(run_fig5b(ctx(), {2, 4}, cancelled).empty());
+#if VSTACK_TELEMETRY_ENABLED
+  EXPECT_EQ(dc_solves() - before, 0.0) << "fig5b";
+#endif
+  before = dc_solves();
+  EXPECT_TRUE(run_fig6(ctx(), 2, {2}, {0.0, 0.5}, cancelled).rows.empty());
+#if VSTACK_TELEMETRY_ENABLED
+  EXPECT_EQ(dc_solves() - before, 0.0) << "fig6";
+#endif
 }
 
 TEST(SweepRunnerTest, RejectsEmptyAxesAndBadPolicy) {

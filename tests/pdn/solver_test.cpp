@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numeric>
 
 #include "common/error.h"
 #include "floorplan/floorplan.h"
+#include "pdn/fault.h"
 #include "power/workload.h"
+#include "telemetry/telemetry.h"
 
 namespace vstack::pdn {
 namespace {
@@ -208,6 +212,87 @@ TEST(PdnSolverTest, PerCoreSchedulingReducesNoise) {
       cpm(), skewed));
   EXPECT_LT(s_bal.max_node_deviation_fraction,
             s_skew.max_node_deviation_fraction);
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  out.reserve(values.size());
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+void expect_same_bits(const PdnSolution& fresh, const PdnSolution& cold) {
+  ASSERT_TRUE(fresh.solve_ok);
+  ASSERT_TRUE(cold.solve_ok);
+  EXPECT_EQ(bits(fresh.node_voltages), bits(cold.node_voltages));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fresh.max_node_deviation_fraction),
+            std::bit_cast<std::uint64_t>(cold.max_node_deviation_fraction));
+  EXPECT_EQ(bits(fresh.converter_currents), bits(cold.converter_currents));
+  EXPECT_EQ(bits(fresh.tsv_currents), bits(cold.tsv_currents));
+  EXPECT_EQ(bits(fresh.c4_pad_currents), bits(cold.c4_pad_currents));
+  EXPECT_EQ(fresh.report.iterations, cold.report.iterations);
+}
+
+// solve_cold on a model that already solved other loads (and kept their
+// assembly, bind and warm-start vector) must give a fresh model's bits:
+// the contract that lets one model serve a whole Fig. 6 column.
+TEST(PdnSolverTest, ColdSolveMatchesFreshModelBitwise) {
+  const auto check = [](const StackupConfig& cfg, const FaultSet& faults) {
+    SCOPED_TRACE(std::string(cfg.is_voltage_stacked() ? "stacked" : "regular") +
+                 (faults.empty() ? "" : " + faults"));
+    const auto loads = [&](const PdnModel& m, double imbalance) {
+      return m.network().build_loads(
+          cpm(), power::interleaved_layer_activities(cfg.layer_count,
+                                                     imbalance));
+    };
+    PdnModel fresh_model(cfg, paper_fp());
+    faults.apply_to(fresh_model.network_mutable());
+    const PdnSolution fresh = fresh_model.solve(loads(fresh_model, 0.7));
+
+    PdnModel reused(cfg, paper_fp());
+    ASSERT_TRUE(reused.solve(loads(reused, 0.2)).solve_ok);
+    faults.apply_to(reused.network_mutable());  // epoch bump when nonempty
+    expect_same_bits(fresh, reused.solve_cold(loads(reused, 0.7)));
+    // A second cold solve of other loads, then the first again.
+    ASSERT_TRUE(reused.solve_cold(loads(reused, 0.4)).solve_ok);
+    expect_same_bits(fresh, reused.solve_cold(loads(reused, 0.7)));
+  };
+
+  check(small_regular(4), FaultSet());
+  check(small_stacked(4), FaultSet());
+
+  auto closed_loop = small_stacked(4);
+  closed_loop.converter.control = sc::ControlPolicy::ClosedLoop;
+  check(closed_loop, FaultSet());  // re-assembles inside every solve
+
+  const PdnModel probe(small_stacked(4), paper_fp());
+  std::size_t tsv = 0;
+  while (probe.network().conductors()[tsv].kind !=
+         ConductorKind::RecyclingTsv) {
+    ++tsv;
+  }
+  FaultSet faults;
+  faults.open_conductor(tsv, 1).converter_stuck_off(0);
+  check(small_stacked(4), faults);
+
+  // N cold solves of one open-loop network assemble and bind once.
+  const auto binds = [] {
+    return telemetry::snapshot().counter_value("la.solver.binds");
+  };
+  const double before = binds();
+  const PdnModel model(small_stacked(4), paper_fp());
+  for (const double imbalance : {0.0, 0.3, 0.6, 0.9}) {
+    ASSERT_TRUE(model
+                    .solve_cold(model.network().build_loads(
+                        cpm(), power::interleaved_layer_activities(4,
+                                                                   imbalance)))
+                    .solve_ok);
+  }
+#if VSTACK_TELEMETRY_ENABLED
+  EXPECT_EQ(binds() - before, 1.0);
+#else
+  EXPECT_EQ(binds() - before, 0.0);
+#endif
 }
 
 // Parameterized sweep over layer counts: stacked supply current stays one

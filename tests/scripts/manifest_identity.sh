@@ -17,10 +17,12 @@
 #
 # Then the spool service, once per binary (shard::make_campaign builds the
 # campaign of the CLI, of the service and of every shard worker):
-# `serve --max-requests=4 --idle-exit=1` answers a campaign request
+# `serve --max-requests=6 --idle-exit=1` answers a campaign request
 # (4 layers, 8x8, 4 trials, seed 7), an N-1 contingency, a ride-through and
-# a figure-6 sweep; `serve --shard-workers=2` answers the same campaign
-# request on a worker fleet.  The service's manifests/c1.jsonl, the fleet's
+# figure-5a, 5b and 6 sweeps; `serve --shard-workers=2` answers the same
+# campaign request on a worker fleet.  A sweep response's data_hash is an
+# FNV-1a over the bits of every figure cell, so equal responses mean
+# bit-equal figures 5a, 5b and 6.  The service's manifests/c1.jsonl, the fleet's
 # jobs/c1/merged.jsonl and a serial `campaign --layers=4 --grid=8
 # --trials=4 --seed=7` manifest must be equal within each binary and
 # across the two.  Both responses.jsonl files must equal the other
@@ -50,10 +52,11 @@
 # Then compares stdout and exit code of `sweep --figure=F --jobs=4` for
 # each figure and of `report --jobs=4`, which prints the same tables
 # (Figs. 5a, 5b, 6, 7, 8), EM array lifetimes included.  The tables print
-# three significant digits, so an equal report does not prove equal bits:
-# the bitwise contract on array lifetimes is held by the
-# ArrayMttfBitIdentity tests (tests/em/array_mttf_test.cpp) and by the
-# bench/e2e `results`, which must equal the parent commit's exactly.
+# three significant digits, so an equal report does not prove equal bits;
+# for figures 5a, 5b and 6 the spool leg's data_hash does.  The bitwise
+# contract on array lifetimes is also held by the ArrayMttfBitIdentity
+# tests (tests/em/array_mttf_test.cpp) and by the bench/e2e `results`,
+# which must equal the parent commit's exactly.
 #
 # Last, the text front ends (common/text_input.h): `import --solve` and
 # `validate` on each pgio fixture (netlist and .solution readers), `config`
@@ -143,13 +146,15 @@ campaign_request=(trials=4 seed=7)
 for side in base head; do
   cli=$BASE_CLI
   [ "$side" = head ] && cli=$HEAD_CLI
-  echo "== $side: serve (campaign, contingency, ride-through, sweep) =="
+  echo "== $side: serve (campaign, contingency, ride-through, 3 sweeps) =="
   spool="$WORK/$side-spool"
   submit "$spool" c1 campaign "${campaign_request[@]}"
   submit "$spool" n1 contingency mode=n-1
   submit "$spool" r1 ride-through
   submit "$spool" s1 sweep figure=6
-  "$cli" serve --spool="$spool" --max-requests=4 --idle-exit=1 >/dev/null
+  submit "$spool" s2 sweep figure=5a
+  submit "$spool" s3 sweep figure=5b
+  "$cli" serve --spool="$spool" --max-requests=6 --idle-exit=1 >/dev/null
   echo "== $side: serve --shard-workers=2 (campaign) =="
   fleet="$WORK/$side-fleet"
   submit "$fleet" c1 campaign "${campaign_request[@]}"

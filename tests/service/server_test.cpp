@@ -179,6 +179,19 @@ TEST_F(ServerTest, ExpiredDeadlineSweepAnswersNoRows) {
   EXPECT_TRUE(has_field(lines[0], "\"rows\":0,")) << lines[0];
 }
 
+TEST_F(ServerTest, ExpiredDeadlineCompleteSweepIsNotATimeout) {
+  // Fig. 7 is one serial sampling campaign that never stops early: an
+  // expired deadline still yields every row, and a complete figure is ok.
+  submit("fig", "id = fig\nkind = sweep\nfigure = 7\ndeadline_s = 1e-9\n");
+  const ServerStats stats = SpoolServer(ctx(), fast_options()).run();
+  EXPECT_EQ(stats.ok, 1u);
+  EXPECT_EQ(stats.timeout, 0u);
+  const auto lines = responses();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_TRUE(has_field(lines[0], "\"status\":\"ok\"")) << lines[0];
+  EXPECT_TRUE(has_field(lines[0], "\"rows\":13,")) << lines[0];
+}
+
 TEST_F(ServerTest, CampaignRequestRunsTheSharedRecipe) {
   // A campaign request is built by shard::make_campaign: its manifest must
   // equal the one CampaignRunner writes for the matching JobSpec.
