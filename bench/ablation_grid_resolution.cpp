@@ -3,10 +3,9 @@
 // The pre-RTL grid resolution trades fidelity for solve time.  This bench
 // sweeps the per-layer grid and reports the noise metric plus solve cost
 // proxies, showing the default 32x32 sits on the converged plateau.  The
-// last two columns compare the preconditioner tiers on the same system:
-// IC(0) holds CG's iteration growth below ILU(0)'s as the grid refines
-// (docs/linear_algebra.md), which is why it sits above ILU(0) in the
-// ladder for symmetric systems.
+// CG iterations column is the ILU(0)-preconditioned cold solve of each
+// grid, so it also shows how the iteration count grows as the grid
+// refines.
 #include <chrono>
 #include <iostream>
 
@@ -25,7 +24,7 @@ int main() {
   const auto ctx = core::StudyContext::paper_defaults();
 
   TextTable t({"Grid", "Unknowns", "Max noise (%Vdd)", "CG iterations",
-               "Solve time (ms)", "ILU0 iters", "IC0 iters"});
+               "Solve time (ms)"});
   for (const std::size_t n : {8u, 16u, 24u, 32u, 48u}) {
     auto cfg = core::make_stacked(ctx, 8, ctx.base.tsv, 8);
     cfg.grid_nx = cfg.grid_ny = n;
@@ -37,24 +36,13 @@ int main() {
     const auto sol = model.solve(loads);
     const auto t1 = std::chrono::steady_clock::now();
 
-    // Cold-start CG iteration counts per preconditioner tier on the same
-    // assembled system (PrecondKind::Auto == the historic ILU(0)).
-    pdn::PdnSolveOptions ilu0_opts, ic0_opts;
-    ic0_opts.preconditioner = la::PrecondKind::Ic0;
-    pdn::PdnModel cold_ilu0(cfg, ctx.layer_floorplan);
-    pdn::PdnModel cold_ic0(cfg, ctx.layer_floorplan);
-    const auto sol_ilu0 = cold_ilu0.solve(loads, ilu0_opts);
-    const auto sol_ic0 = cold_ic0.solve(loads, ic0_opts);
-
     t.add_row({std::to_string(n) + "x" + std::to_string(n),
                std::to_string(model.network().node_count()),
                TextTable::percent(sol.max_node_deviation_fraction, 2),
                std::to_string(sol.report.iterations),
                std::to_string(std::chrono::duration_cast<
                                   std::chrono::milliseconds>(t1 - t0)
-                                  .count()),
-               std::to_string(sol_ilu0.report.iterations),
-               std::to_string(sol_ic0.report.iterations)});
+                                  .count())});
   }
   t.print(std::cout);
   return 0;

@@ -1,8 +1,8 @@
 // google-benchmark timing of the linear-algebra kernels on PDN-shaped
-// systems: CG vs BiCGSTAB, Jacobi vs ILU(0) vs IC(0), per-backend SpMV,
-// and a full PDN solve.  A scoreboard after the timed runs records the
-// backend SpMV throughputs and the ILU(0)-vs-IC(0) iteration-growth trend
-// as telemetry gauges, so they land in BENCH_perf_solvers.json.
+// systems: CG vs BiCGSTAB, Jacobi vs ILU(0), per-backend SpMV, and a full
+// PDN solve.  A scoreboard after the timed runs records the backend SpMV
+// throughputs and the Jacobi-vs-ILU(0) iteration-growth trend as
+// telemetry gauges, so they land in BENCH_perf_solvers.json.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -100,18 +100,6 @@ void BM_CgIlu0(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CgIlu0)->Arg(32)->Arg(64);
-
-void BM_CgIc0(benchmark::State& state) {
-  const auto a = grid_matrix(static_cast<std::size_t>(state.range(0)));
-  const la::Vector b(a.size(), 1.0);
-  const auto precond = la::make_ic0(a);
-  for (auto _ : state) {
-    la::Vector x;
-    auto report = la::conjugate_gradient(a, b, x, *precond);
-    benchmark::DoNotOptimize(report.iterations);
-  }
-}
-BENCHMARK(BM_CgIc0)->Arg(32)->Arg(64);
 
 /// Repeated-solve cost through the la::Solver handle (prepared matrix,
 /// cached preconditioner, zero-alloc workspace) -- the PDN cache's shape.
@@ -215,23 +203,17 @@ void scoreboard() {
   telemetry::Gauge("bench.spmv.optimized_speedup").set(speedup);
 
   // Preconditioner iteration growth across grid resolutions: Jacobi (the
-  // degradation floor) vs ILU(0) vs IC(0).  On SPD systems IC(0) and
-  // ILU(0) build the same operator, so IC(0) must match ILU(0)'s count
-  // while doing half the factor work -- and both hold the growth far
-  // below Jacobi's (the docs/linear_algebra.md ladder argument in
-  // numbers).
+  // degradation floor) vs ILU(0), the bound tier.  ILU(0) must hold the
+  // growth far below Jacobi's (the docs/linear_algebra.md tier argument
+  // in numbers).
   static const telemetry::Gauge g_jac_32("bench.cg.iters.jacobi.m32");
   static const telemetry::Gauge g_jac_64("bench.cg.iters.jacobi.m64");
   static const telemetry::Gauge g_jac_96("bench.cg.iters.jacobi.m96");
   static const telemetry::Gauge g_ilu0_32("bench.cg.iters.ilu0.m32");
   static const telemetry::Gauge g_ilu0_64("bench.cg.iters.ilu0.m64");
   static const telemetry::Gauge g_ilu0_96("bench.cg.iters.ilu0.m96");
-  static const telemetry::Gauge g_ic0_32("bench.cg.iters.ic0.m32");
-  static const telemetry::Gauge g_ic0_64("bench.cg.iters.ic0.m64");
-  static const telemetry::Gauge g_ic0_96("bench.cg.iters.ic0.m96");
   const telemetry::Gauge* jac_gauges[] = {&g_jac_32, &g_jac_64, &g_jac_96};
   const telemetry::Gauge* ilu0_gauges[] = {&g_ilu0_32, &g_ilu0_64, &g_ilu0_96};
-  const telemetry::Gauge* ic0_gauges[] = {&g_ic0_32, &g_ic0_64, &g_ic0_96};
   const std::size_t grids[] = {32, 64, 96};
   for (int gi = 0; gi < 3; ++gi) {
     const auto m = grids[gi];
@@ -239,18 +221,14 @@ void scoreboard() {
     const la::Vector rhs(grid.size(), 1.0);
     const auto jacobi = la::make_jacobi(grid);
     const auto ilu0 = la::make_ilu0(grid);
-    const auto ic0 = la::make_ic0(grid);
-    la::Vector xj, xi, xc;
+    la::Vector xj, xi;
     const auto rj = la::conjugate_gradient(grid, rhs, xj, *jacobi);
     const auto ri = la::conjugate_gradient(grid, rhs, xi, *ilu0);
-    const auto rc = la::conjugate_gradient(grid, rhs, xc, *ic0);
     jac_gauges[gi]->set(static_cast<double>(rj.iterations));
     ilu0_gauges[gi]->set(static_cast<double>(ri.iterations));
-    ic0_gauges[gi]->set(static_cast<double>(rc.iterations));
     print_note("cg iterations m=" + std::to_string(m) +
                ": jacobi=" + std::to_string(rj.iterations) +
-               " ilu0=" + std::to_string(ri.iterations) +
-               " ic0=" + std::to_string(rc.iterations));
+               " ilu0=" + std::to_string(ri.iterations));
   }
 }
 

@@ -36,7 +36,6 @@ class ReferencePrepared final : public BackendMatrix {
 class ReferenceBackend final : public Backend {
  public:
   const char* name() const override { return "reference"; }
-  bool bit_identical() const override { return true; }
 
   std::unique_ptr<BackendMatrix> prepare(const CsrMatrix& a) const override {
     t_prepared_rows.record(static_cast<double>(a.size()));
@@ -221,7 +220,6 @@ void dia_compute(const OptimizedPrepared& p, const double* xd,
 class OptimizedBackend final : public Backend {
  public:
   const char* name() const override { return "optimized"; }
-  bool bit_identical() const override { return false; }
 
   std::unique_ptr<BackendMatrix> prepare(const CsrMatrix& a) const override {
     t_prepared_rows.record(static_cast<double>(a.size()));

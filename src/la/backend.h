@@ -50,11 +50,6 @@ class Backend {
 
   virtual const char* name() const = 0;
 
-  /// True when every kernel reproduces the scalar reference arithmetic
-  /// bit-for-bit (same operation order).  Backends where this is false are
-  /// validated to solver tolerance instead (see docs/linear_algebra.md).
-  virtual bool bit_identical() const = 0;
-
   /// Build the backend's prepared form of `a`.  `a` must outlive the
   /// result.  Cheap for the reference backend (a wrapper); one CSR copy
   /// with narrowed indices for the optimized backend.

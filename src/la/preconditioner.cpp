@@ -1,7 +1,6 @@
 #include "la/preconditioner.h"
 
 #include <cmath>
-#include <string>
 
 #include "common/error.h"
 
@@ -86,106 +85,12 @@ void Ilu0Preconditioner::apply(const Vector& r, Vector& z) const {
   }
 }
 
-Ic0Preconditioner::Ic0Preconditioner(const CsrMatrix& a) : n_(a.size()) {
-  // Extract the lower triangle (diagonal included) into a private CSR.
-  const auto& arp = a.row_ptr();
-  const auto& aci = a.col_idx();
-  const auto& av = a.values();
-  row_ptr_.assign(n_ + 1, 0);
-  diag_pos_.resize(n_);
-  for (std::size_t r = 0; r < n_; ++r) {
-    std::size_t count = 0;
-    for (std::size_t k = arp[r]; k < arp[r + 1]; ++k) {
-      if (aci[k] <= r) ++count;
-    }
-    row_ptr_[r + 1] = row_ptr_[r] + count;
-  }
-  col_idx_.resize(row_ptr_[n_]);
-  val_.resize(row_ptr_[n_]);
-  for (std::size_t r = 0; r < n_; ++r) {
-    std::size_t out = row_ptr_[r];
-    bool found = false;
-    for (std::size_t k = arp[r]; k < arp[r + 1]; ++k) {
-      if (aci[k] > r) break;  // columns are sorted
-      col_idx_[out] = aci[k];
-      val_[out] = av[k];
-      if (aci[k] == r) {
-        diag_pos_[r] = out;
-        found = true;
-      }
-      ++out;
-    }
-    VS_REQUIRE(found, "IC(0) requires a structurally nonzero diagonal");
-  }
-
-  // Row-oriented IC(0): L(i,j) = (A(i,j) - sum_m L(i,m) L(j,m)) / L(j,j)
-  // with the sum restricted to the shared lower pattern, then
-  // L(i,i) = sqrt(A(i,i) - sum_m L(i,m)^2).  A non-positive pivot means the
-  // matrix is not (numerically) SPD on this pattern; throw so the caller's
-  // ladder can fall back to ILU(0).
-  std::vector<std::ptrdiff_t> pos_in_row(n_, -1);
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      pos_in_row[col_idx_[k]] = static_cast<std::ptrdiff_t>(k);
-    }
-    for (std::size_t k = row_ptr_[i]; k < diag_pos_[i]; ++k) {
-      const std::size_t j = col_idx_[k];
-      double s = val_[k];
-      for (std::size_t kk = row_ptr_[j]; kk < diag_pos_[j]; ++kk) {
-        const std::ptrdiff_t p = pos_in_row[col_idx_[kk]];
-        if (p >= 0) s -= val_[static_cast<std::size_t>(p)] * val_[kk];
-      }
-      val_[k] = s / val_[diag_pos_[j]];
-    }
-    double d = val_[diag_pos_[i]];
-    for (std::size_t k = row_ptr_[i]; k < diag_pos_[i]; ++k) {
-      d -= val_[k] * val_[k];
-    }
-    VS_REQUIRE(d > 0.0, "IC(0) breakdown: non-positive pivot at row " +
-                            std::to_string(i));
-    val_[diag_pos_[i]] = std::sqrt(d);
-    for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      pos_in_row[col_idx_[k]] = -1;
-    }
-  }
-}
-
-void Ic0Preconditioner::apply(const Vector& r, Vector& z) const {
-  VS_REQUIRE(r.size() == n_, "ic0 apply: size mismatch");
-  z.resize(n_);
-  // Forward solve L y = r (non-unit diagonal).
-  for (std::size_t i = 0; i < n_; ++i) {
-    double s = r[i];
-    for (std::size_t k = row_ptr_[i]; k < diag_pos_[i]; ++k) {
-      s -= val_[k] * z[col_idx_[k]];
-    }
-    z[i] = s / val_[diag_pos_[i]];
-  }
-  // Backward solve L^T z = y, sweeping L's rows bottom-up and scattering
-  // each solved z[i] into the rows above it.
-  for (std::size_t ii = n_; ii-- > 0;) {
-    const double zi = z[ii] / val_[diag_pos_[ii]];
-    z[ii] = zi;
-    for (std::size_t k = row_ptr_[ii]; k < diag_pos_[ii]; ++k) {
-      z[col_idx_[k]] -= val_[k] * zi;
-    }
-  }
-}
-
-std::unique_ptr<Preconditioner> make_identity() {
-  return std::make_unique<IdentityPreconditioner>();
-}
-
 std::unique_ptr<Preconditioner> make_jacobi(const CsrMatrix& a) {
   return std::make_unique<JacobiPreconditioner>(a);
 }
 
 std::unique_ptr<Preconditioner> make_ilu0(const CsrMatrix& a) {
   return std::make_unique<Ilu0Preconditioner>(a);
-}
-
-std::unique_ptr<Preconditioner> make_ic0(const CsrMatrix& a) {
-  return std::make_unique<Ic0Preconditioner>(a);
 }
 
 }  // namespace vstack::la

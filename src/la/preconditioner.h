@@ -15,12 +15,6 @@ class Preconditioner {
   virtual void apply(const Vector& r, Vector& z) const = 0;
 };
 
-/// Identity (no preconditioning).
-class IdentityPreconditioner final : public Preconditioner {
- public:
-  void apply(const Vector& r, Vector& z) const override { z = r; }
-};
-
 /// Diagonal (Jacobi) preconditioner.  Rows with zero diagonal pass through.
 class JacobiPreconditioner final : public Preconditioner {
  public:
@@ -49,32 +43,8 @@ class Ilu0Preconditioner final : public Preconditioner {
   std::vector<std::size_t> diag_pos_;  // index of the diagonal entry per row
 };
 
-/// Zero-fill incomplete Cholesky factorization A ~= L L^T for symmetric
-/// positive-definite matrices (the regular-PDN and thermal grids).  Stores
-/// only the lower triangle, so it halves the factor memory and the
-/// triangular-solve work relative to ILU(0) on the same pattern.  Throws
-/// vstack::Error when a pivot goes non-positive (matrix not SPD, or too
-/// indefinite after fault damage); la::Solver catches that and falls back
-/// to ILU(0) -- see the preconditioner ladder in docs/linear_algebra.md.
-class Ic0Preconditioner final : public Preconditioner {
- public:
-  explicit Ic0Preconditioner(const CsrMatrix& a);
-  void apply(const Vector& r, Vector& z) const override;
-
- private:
-  // CSR of the lower triangle of A (diagonal included); after factorization
-  // the values hold L with its non-unit diagonal at diag_pos_.
-  std::size_t n_;
-  std::vector<std::size_t> row_ptr_;
-  std::vector<std::size_t> col_idx_;
-  std::vector<double> val_;
-  std::vector<std::size_t> diag_pos_;  // index of the diagonal entry per row
-};
-
 /// Factory helpers returning owning pointers.
-std::unique_ptr<Preconditioner> make_identity();
 std::unique_ptr<Preconditioner> make_jacobi(const CsrMatrix& a);
 std::unique_ptr<Preconditioner> make_ilu0(const CsrMatrix& a);
-std::unique_ptr<Preconditioner> make_ic0(const CsrMatrix& a);
 
 }  // namespace vstack::la

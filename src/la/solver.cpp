@@ -52,36 +52,15 @@ double relative_residual(const CsrMatrix& a, const Vector& b,
   return norm2(subtract(b, a.multiply(x))) / b_norm;
 }
 
-/// Build the requested preconditioner tier, degrading down the ladder
-/// (IC(0) -> ILU(0) -> Jacobi -> identity) when a factorization is
-/// impossible -- e.g. IC(0) on an indefinite fault-damaged matrix, or
-/// ILU(0) on a structurally zero diagonal.
+/// ILU(0), or Jacobi when ILU(0) cannot factor -- e.g. a structurally zero
+/// diagonal on a fault-damaged matrix.
 std::unique_ptr<Preconditioner> build_precond(const CsrMatrix& a,
-                                              PrecondKind kind, bool symmetric,
                                               std::string& label) {
-  if (kind == PrecondKind::Identity) {
-    label = "identity";
-    return make_identity();
-  }
-  if (kind == PrecondKind::Ic0) {
-    if (symmetric) {
-      try {
-        label = "ic0";
-        return make_ic0(a);
-      } catch (const Error&) {
-        VS_LOG_WARN("IC(0) factorization broke down; falling back to ILU(0)");
-      }
-    } else {
-      VS_LOG_WARN("IC(0) requested for a non-symmetric system; using ILU(0)");
-    }
-  }
-  if (kind != PrecondKind::Jacobi) {
-    try {
-      label = "ilu0";
-      return make_ilu0(a);
-    } catch (const Error&) {
-      VS_LOG_WARN("ILU(0) factorization unavailable; using Jacobi");
-    }
+  try {
+    label = "ilu0";
+    return make_ilu0(a);
+  } catch (const Error&) {
+    VS_LOG_WARN("ILU(0) factorization unavailable; using Jacobi");
   }
   label = "jacobi";
   return make_jacobi(a);
@@ -188,23 +167,9 @@ Solver::Solver(const CsrMatrix& a, SolveOptions options)
       options_(options),
       backend_(&resolve_backend(options.backend)) {
   t_binds.add();
-  kind_ = options_.kind;
-  const bool symmetric =
-      kind_ == SolverKind::Cg ||
-      ((kind_ == SolverKind::Auto || options_.preconditioner ==
-        PrecondKind::Ic0) && a.is_symmetric(1e-12));
-  if (kind_ == SolverKind::Auto) {
-    kind_ = symmetric ? SolverKind::Cg : SolverKind::BiCgStab;
-  }
+  kind_ = a.is_symmetric(1e-12) ? SolverKind::Cg : SolverKind::BiCgStab;
   prepared_ = backend_->prepare(a);
-  if (kind_ != SolverKind::DenseLu) {
-    precond_ = build_precond(a, options_.preconditioner, symmetric,
-                             precond_label_);
-  }
-}
-
-SolveReport Solver::solve(const Vector& b, Vector& x) {
-  return solve(b, x, options_.iterative);
+  precond_ = build_precond(a, precond_label_);
 }
 
 SolveReport Solver::solve(const Vector& b, Vector& x,
@@ -229,35 +194,20 @@ SolveReport Solver::solve(const Vector& b, Vector& x,
   const KrylovContext ctx{backend_, prepared_.get(), &workspace_};
   EscalationChain chain(*a_, b, x, ctx);
 
-  if (kind_ == SolverKind::DenseLu) {
-    chain.run_dense(dense_accept, deadline);
-    return chain.finish(chain.report().deadline_expired
-                            ? "dense LU aborted: deadline expired"
-                            : "dense LU failed: numerically singular matrix");
-  }
-
-  bool done = false;
-  if (kind_ == SolverKind::Cg) {
-    done = chain.run_iterative("cg+" + precond_label_, SolverKind::Cg,
-                               *precond_, per_attempt);
-    if (done || !options_.escalate) {
-      return chain.finish("CG did not converge");
-    }
+  if (kind_ == SolverKind::Cg &&
+      chain.run_iterative("cg+" + precond_label_, SolverKind::Cg, *precond_,
+                          per_attempt)) {
+    return chain.finish({});
   }
 
   // Between rungs: an expired deadline means the caller wants out, not a
   // harder solver.  Skip the rest of the ladder and report the truncation.
-  if (!done && deadline.expired()) {
+  if (deadline.expired()) {
     return chain.finish("solve aborted: deadline expired");
   }
 
-  if (!done) {
-    done = chain.run_iterative("bicgstab+" + precond_label_,
-                               SolverKind::BiCgStab, *precond_, per_attempt);
-    if (!done && !options_.escalate) {
-      return chain.finish("BiCGSTAB did not converge");
-    }
-  }
+  bool done = chain.run_iterative("bicgstab+" + precond_label_,
+                                  SolverKind::BiCgStab, *precond_, per_attempt);
 
   if (!done && deadline.expired()) {
     return chain.finish("solve aborted: deadline expired");
@@ -306,27 +256,8 @@ SolveReport Solver::solve(const Vector& b, Vector& x,
   return chain.finish(diag.str());
 }
 
-std::vector<SolveReport> Solver::solve_many(const std::vector<Vector>& bs,
-                                            std::vector<Vector>& xs) {
-  return solve_many(bs, xs, options_.iterative);
-}
-
-std::vector<SolveReport> Solver::solve_many(const std::vector<Vector>& bs,
-                                            std::vector<Vector>& xs,
-                                            const IterativeOptions& iterative) {
-  xs.resize(bs.size());
-  std::vector<SolveReport> reports;
-  reports.reserve(bs.size());
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    reports.push_back(solve(bs[i], xs[i], iterative));
-  }
-  return reports;
-}
-
 SolveReport Solver::iterate_once(const Vector& b, Vector& x,
                                  const IterativeOptions& iterative) {
-  VS_REQUIRE(kind_ != SolverKind::DenseLu,
-             "iterate_once: dense-LU binds have no iterative primary method");
   count_solve(*backend_);
   const KrylovContext ctx{backend_, prepared_.get(), &workspace_};
   if (kind_ == SolverKind::Cg) {

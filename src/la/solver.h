@@ -5,10 +5,9 @@
 //
 //   * the backend's prepared matrix form (32-bit-index CSR for the
 //     optimized backend), built once at bind time;
-//   * the resolved solver kind (the SolverKind::Auto symmetry probe runs
-//     once, not per call);
-//   * the preconditioner (IC(0) / ILU(0) / Jacobi per PrecondKind, with
-//     the factorization-failure fallback chain applied at bind time);
+//   * the solver kind, from a symmetry probe that runs once at bind time,
+//     not per call: CG for symmetric matrices, BiCGSTAB otherwise;
+//   * the preconditioner: ILU(0), or Jacobi when ILU(0) cannot factor;
 //   * a KrylovWorkspace, so the CG/BiCGSTAB loops allocate nothing after
 //     the first solve.
 //
@@ -26,7 +25,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "la/backend.h"
 #include "la/bicgstab.h"
@@ -34,27 +32,21 @@
 
 namespace vstack::la {
 
-enum class SolverKind { Auto, Cg, BiCgStab, DenseLu };
+/// The primary method a bind picked (Solver::kind()).
+enum class SolverKind { Cg, BiCgStab };
 
-/// Preconditioner ladder position.  Auto means ILU(0).  Ic0 sits one tier
-/// above ILU(0) for symmetric systems: half the factor memory and
-/// triangular-solve work, but it requires a (numerically) SPD matrix -- on
-/// breakdown, or on a non-symmetric system, it degrades to ILU(0) with a
-/// warning, then to Jacobi, exactly like the historic factorization-failure
-/// chain.
-enum class PrecondKind { Auto, Ic0, Ilu0, Jacobi, Identity };
+/// Preconditioner request.  Auto is the one tier: ILU(0), degrading to
+/// Jacobi at bind time, with a warning, when ILU(0) cannot factor (a
+/// structurally zero diagonal or a zero pivot).
+enum class PrecondKind { Auto };
 
 struct SolveOptions {
-  SolverKind kind = SolverKind::Auto;
-  IterativeOptions iterative;
-  /// Which preconditioner tier to start from (degrades on failure).
+  /// One value, so no bind reads it; kept because the bench/e2e solver
+  /// probe assigns it.
   PrecondKind preconditioner = PrecondKind::Auto;
   /// Kernel backend; Auto defers to default_backend() (--la-backend /
   /// $VSTACK_LA_BACKEND / reference).
   BackendChoice backend = BackendChoice::Auto;
-  /// Escalate through the fallback ladder on non-convergence.  When false,
-  /// only the primary method runs (one attempt).
-  bool escalate = true;
   /// Largest system the final dense-LU rung will factorize; anything bigger
   /// skips that rung (a dense factorization would not fit in memory).
   std::size_t dense_fallback_max_size = 4000;
@@ -67,8 +59,8 @@ struct SolveOptions {
 class Solver {
  public:
   /// Bind `a` (which must outlive the Solver, at a stable address) and pay
-  /// all per-matrix costs up front: backend preparation, the Auto symmetry
-  /// probe, and the preconditioner factorization.
+  /// all per-matrix costs up front: backend preparation, the symmetry probe
+  /// and the preconditioner factorization.
   explicit Solver(const CsrMatrix& a, SolveOptions options = {});
 
   Solver(Solver&&) = default;
@@ -76,30 +68,17 @@ class Solver {
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
-  /// Solve A x = b through the full escalation ladder; x is the initial
-  /// guess and receives the solution.
+  /// Solve A x = b through the full escalation ladder under `iterative`'s
+  /// iteration limit, tolerance and deadline (per attempt); x is the
+  /// initial guess and receives the solution.
   ///
   /// NON-THROWING on solver failure: check report.converged.  On failure,
   /// report.diagnostic names the reason, report.attempts holds the full
   /// trail, and x is restored to the caller's initial guess -- never NaN.
   /// (Size mismatches and other precondition violations still throw
   /// vstack::Error.)
-  SolveReport solve(const Vector& b, Vector& x);
-
-  /// Same ladder with per-call iteration limits/tolerance/deadline.
   SolveReport solve(const Vector& b, Vector& x,
-                    const IterativeOptions& iterative);
-
-  /// Batched multi-RHS solve: each xs[i] is the initial guess for bs[i]
-  /// (resized to zeros when absent).  Runs the RHSs sequentially through
-  /// the shared workspace / prepared matrix / preconditioner, so results
-  /// are bitwise identical to looping solve() -- the win is amortization,
-  /// not reordering.  Returns one report per RHS.
-  std::vector<SolveReport> solve_many(const std::vector<Vector>& bs,
-                                      std::vector<Vector>& xs);
-  std::vector<SolveReport> solve_many(const std::vector<Vector>& bs,
-                                      std::vector<Vector>& xs,
-                                      const IterativeOptions& iterative);
+                    const IterativeOptions& iterative = {});
 
   /// One attempt of the primary method (CG for symmetric binds, BiCGSTAB
   /// otherwise) with the bound preconditioner -- no escalation ladder, no
@@ -111,11 +90,10 @@ class Solver {
 
   const CsrMatrix& matrix() const { return *a_; }
   const Backend& backend() const { return *backend_; }
-  const SolveOptions& options() const { return options_; }
-  /// Kind after Auto resolution (never SolverKind::Auto).
+  /// CG when the bound matrix is symmetric, BiCGSTAB otherwise.
   SolverKind kind() const { return kind_; }
-  /// Label of the preconditioner actually built after fallbacks, e.g.
-  /// "ic0", "ilu0", "jacobi", "identity" -- attempt names embed it.
+  /// Label of the preconditioner actually built: "ilu0", or "jacobi" when
+  /// ILU(0) could not factor -- attempt names embed it.
   const std::string& preconditioner_label() const { return precond_label_; }
 
  private:

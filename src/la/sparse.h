@@ -138,8 +138,8 @@ class CsrMatrix {
   /// largest absolute entry).  Used to pick CG vs BiCGSTAB.
   ///
   /// The answer for the default tolerance is memoized: the scan costs
-  /// O(nnz log row-width) and SolverKind::Auto asks on every bind, so a
-  /// cached matrix pays it once instead of per solve.  Values are frozen
+  /// O(nnz log row-width) and every la::Solver bind asks, so a cached
+  /// matrix pays it once instead of per bind.  Values are frozen
   /// after construction, so the memo can never go stale.
   bool is_symmetric(double tol = 1e-12) const;
 

@@ -88,11 +88,9 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
   VS_REQUIRE(converter_r_series.size() == network_.converters().size(),
              "converter resistance vector size mismatch");
 
-  // (Re)assemble when the topology epoch, converter resistances, or the
-  // requested preconditioner tier changed.
+  // (Re)assemble when the topology epoch or converter resistances changed.
   if (!cache_ || cache_->epoch != network_.topology_epoch() ||
-      cache_->r_series != converter_r_series ||
-      cache_->precond_kind != options.preconditioner) {
+      cache_->r_series != converter_r_series) {
     la::CooBuilder builder(n);
     la::Vector base_rhs(n, 0.0);
 
@@ -163,17 +161,12 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
 
     cache->epoch = network_.topology_epoch();
     cache->r_series = converter_r_series;
-    cache->precond_kind = options.preconditioner;
     cache->matrix = builder.build();
     cache->base_rhs = std::move(base_rhs);
     // Bind the solver handle once the matrix has reached its final address
     // (inside the heap-allocated CachedSystem); it owns the preconditioner,
     // backend preparation, and Krylov workspace for every solve below.
-    la::SolveOptions solver_options;
-    solver_options.iterative = options.iterative;
-    solver_options.preconditioner = options.preconditioner;
-    cache->solver =
-        std::make_unique<la::Solver>(cache->matrix, solver_options);
+    cache->solver = std::make_unique<la::Solver>(cache->matrix);
     cache_ = std::move(cache);
     last_solution_.clear();
   }

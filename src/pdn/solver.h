@@ -82,17 +82,12 @@ struct PdnSolveOptions {
   /// Fixed-point refinements of the per-converter series resistance for
   /// closed-loop converter control (ignored for open loop).
   std::size_t control_iterations = 3;
-  /// Preconditioner tier for the cached system.  Auto keeps the historic
-  /// ILU(0); Ic0 opts the SPD PDN matrices into incomplete Cholesky (half
-  /// the factor memory/solve work, falls back to ILU(0) on breakdown).
-  la::PrecondKind preconditioner = la::PrecondKind::Auto;
 };
 
 /// One PDN network plus its cached assembled system.  The matrix, the
 /// floating-island map and the bound la::Solver (preconditioner, prepared
 /// backend form, Krylov workspace) are keyed on (topology epoch, converter
-/// series resistances, preconditioner tier) and reused by every solve whose
-/// key matches.
+/// series resistances) and reused by every solve whose key matches.
 ///
 /// Two entry points differ only in the first CG run's initial guess:
 /// - solve() warm-starts from the previous converged solution, so its bits
@@ -152,7 +147,6 @@ class PdnModel {
   struct CachedSystem {
     std::size_t epoch = 0;
     std::vector<double> r_series;
-    la::PrecondKind precond_kind = la::PrecondKind::Auto;
     la::CsrMatrix matrix;
     la::Vector base_rhs;  // fixed-rail + ideal-reference injections
     /// Bound to `matrix` (stable: this struct lives behind a unique_ptr

@@ -70,11 +70,7 @@ bool StepSolver::solve(double h, bool backward_euler, const la::Vector& rhs,
   }
   // Final rung: the full non-throwing escalation ladder from PR 1.  Slots
   // that went direct-only build their iterative handle on first need.
-  if (!c.solver) {
-    la::SolveOptions ladder;
-    ladder.iterative = options_.iterative;
-    c.solver = std::make_unique<la::Solver>(c.matrix, ladder);
-  }
+  if (!c.solver) c.solver = std::make_unique<la::Solver>(c.matrix);
   la::Vector iterate = x;
   const auto r = c.solver->solve(rhs, iterate, options_.iterative);
   if (r.converged &&
@@ -126,11 +122,7 @@ StepSolver::Cached& StepSolver::cached(double h, bool backward_euler, double t,
   // Insert first, bind after: the solver handle points at the matrix, so it
   // must be created once the Cached slot has its final map residence.
   Cached& slot = cache_.emplace(key, std::move(c)).first->second;
-  if (!slot.direct) {
-    la::SolveOptions ladder;
-    ladder.iterative = options_.iterative;
-    slot.solver = std::make_unique<la::Solver>(slot.matrix, ladder);
-  }
+  if (!slot.direct) slot.solver = std::make_unique<la::Solver>(slot.matrix);
   return slot;
 }
 

@@ -248,10 +248,7 @@ LoadStepReport simulate_load_step(const ImportedGrid& grid,
   work.stamp_conductances(builder, fixed_rhs, load_rhs);
   for (std::size_t s = 0; s < n; ++s) builder.add(s, s, cap[s] / h);
   const la::CsrMatrix matrix = builder.build();
-  la::SolveOptions solver_options;
-  solver_options.preconditioner = options.solve.preconditioner;
-  solver_options.backend = options.solve.backend;
-  la::Solver solver(matrix, solver_options);
+  la::Solver solver(matrix, {.backend = options.solve.backend});
 
   const double ref = reference_potential(work);
   const double band =

@@ -23,15 +23,14 @@ std::string at_line(const PgNetlist& netlist, std::uint32_t line) {
 
 /// Epoch-keyed solve system (pdn/solver.h's cached-system pattern): the
 /// matrix is built first and the Solver bound only once its address is
-/// final.  A backend/preconditioner change rebuilds just the Solver; a
-/// topology-epoch bump rebuilds everything.
+/// final.  A backend change rebuilds just the Solver; a topology-epoch bump
+/// rebuilds everything.
 struct ImportedGrid::Cached {
   std::size_t epoch = 0;
   la::CsrMatrix matrix;
   la::Vector fixed_rhs;  // Dirichlet terms folded in from fixed slots
   la::Vector load_rhs;   // unit-scale load injections
   const la::Backend* backend = nullptr;
-  la::PrecondKind preconditioner = la::PrecondKind::Auto;
   std::unique_ptr<la::Solver> solver;
 };
 
@@ -315,20 +314,14 @@ void ImportedGrid::stamp_conductances(la::CooBuilder& builder,
 
 void ImportedGrid::ensure_system(const GridSolveOptions& options) const {
   const la::Backend* backend = &la::resolve_backend(options.backend);
+  const la::SolveOptions solve_options{.backend = options.backend};
   if (cache_ && cache_->epoch == topology_epoch_) {
-    if (cache_->backend == backend &&
-        cache_->preconditioner == options.preconditioner) {
-      return;
-    }
+    if (cache_->backend == backend) return;
     // Same matrix, different kernels: rebuild only the Solver binding.
     cache_->solver.reset();
-    la::SolveOptions solve_options;
-    solve_options.preconditioner = options.preconditioner;
-    solve_options.backend = options.backend;
     cache_->solver =
         std::make_unique<la::Solver>(cache_->matrix, solve_options);
     cache_->backend = backend;
-    cache_->preconditioner = options.preconditioner;
     return;
   }
 
@@ -339,14 +332,10 @@ void ImportedGrid::ensure_system(const GridSolveOptions& options) const {
   stamp_conductances(builder, next->fixed_rhs, next->load_rhs);
   next->matrix = builder.build();
   // Bind the Solver only now: the matrix has reached its final address.
-  la::SolveOptions solve_options;
-  solve_options.preconditioner = options.preconditioner;
-  solve_options.backend = options.backend;
   if (unknown_count_ > 0) {
     next->solver = std::make_unique<la::Solver>(next->matrix, solve_options);
   }
   next->backend = backend;
-  next->preconditioner = options.preconditioner;
   cache_ = std::move(next);
 }
 

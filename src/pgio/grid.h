@@ -50,6 +50,8 @@ struct GridOptions {
 struct GridSolveOptions {
   la::IterativeOptions iterative{.max_iterations = 20000,
                                  .relative_tolerance = 1e-9};
+  /// One value, so no solve reads it; kept because the bench/e2e solver
+  /// probe copies it into la::SolveOptions.
   la::PrecondKind preconditioner = la::PrecondKind::Auto;
   la::BackendChoice backend = la::BackendChoice::Auto;
 };

@@ -2,6 +2,8 @@
 // the paper's Fig. 3 validation, as an automated regression test.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "circuit/sc_testbench.h"
 #include "sc/compact_model.h"
 
@@ -12,6 +14,14 @@ struct ValidationCase {
   double load_ma;
   sc::ControlPolicy policy;
 };
+
+// Names each case by its values, e.g. "10mA_OpenLoop"; without it gtest
+// prints the struct's raw bytes, padding included, so the test names
+// would change from build to build.
+void PrintTo(const ValidationCase& c, std::ostream* os) {
+  *os << c.load_ma << "mA_"
+      << (c.policy == sc::ControlPolicy::OpenLoop ? "OpenLoop" : "ClosedLoop");
+}
 
 class Fig3Validation : public ::testing::TestWithParam<ValidationCase> {};
 

@@ -69,8 +69,6 @@ TEST(BackendRegistryTest, LookupAndFlags) {
   ASSERT_NE(opt, nullptr);
   EXPECT_STREQ(ref->name(), "reference");
   EXPECT_STREQ(opt->name(), "optimized");
-  EXPECT_TRUE(ref->bit_identical());
-  EXPECT_FALSE(opt->bit_identical());
   EXPECT_EQ(backend_by_name("vectorized"), nullptr);
 
   const auto all = all_backends();

@@ -64,13 +64,6 @@ TEST(Ilu0Test, RejectsMissingDiagonal) {
   EXPECT_THROW(Ilu0Preconditioner{b.build()}, Error);
 }
 
-TEST(IdentityTest, CopiesInput) {
-  IdentityPreconditioner p;
-  Vector z;
-  p.apply({1.0, -2.0, 3.0}, z);
-  EXPECT_EQ(z, (Vector{1.0, -2.0, 3.0}));
-}
-
 TEST(Ilu0Test, ApplyRejectsWrongSize) {
   CooBuilder b(2);
   b.add(0, 0, 1.0);

@@ -121,19 +121,6 @@ TEST(SolveEscalationTest, SingularSystemFailsCleanlyWithoutNan) {
   EXPECT_DOUBLE_EQ(x[1], -7.0);
 }
 
-TEST(SolveEscalationTest, EscalationOffRunsExactlyOneAttempt) {
-  const CsrMatrix a = from_dense({{1.0, 2.0}, {2.0, 1.0}});  // indefinite
-  const Vector b{1.0, 0.0};  // negative-curvature direction: CG rejects
-  Vector x;
-  SolveOptions opts;
-  opts.escalate = false;
-  const auto report = Solver(a, opts).solve(b, x);
-  EXPECT_FALSE(report.converged);
-  EXPECT_EQ(report.attempts.size(), 1u);
-  EXPECT_FALSE(report.diagnostic.empty());
-  EXPECT_TRUE(all_finite(x));
-}
-
 TEST(SolveEscalationTest, DenseFallbackRespectsSizeCap) {
   // With the dense rung capped below the system size, the singular system
   // has no recovery path at all -- still no throw, still finite.
@@ -152,9 +139,9 @@ TEST(SolveEscalationTest, DenseFallbackRespectsSizeCap) {
 
 TEST(SolveEscalationTest, StagnationDetectionTerminatesEarly) {
   // A stagnation factor no iteration can meet makes every step count as
-  // "no progress": CG on a grid that normally needs dozens of iterations
-  // must give up after the one-iteration window instead of burning the
-  // full budget.
+  // "no progress": one CG attempt on a grid that normally needs dozens of
+  // iterations must give up after the one-iteration window instead of
+  // burning the full budget.
   CooBuilder builder(400);
   for (std::size_t r = 0; r < 20; ++r) {
     for (std::size_t c = 0; c < 20; ++c) {
@@ -169,19 +156,18 @@ TEST(SolveEscalationTest, StagnationDetectionTerminatesEarly) {
   const CsrMatrix a = builder.build();
   const Vector b(400, 1.0);
 
-  Vector x_ok;
-  SolveOptions healthy;
-  healthy.kind = SolverKind::Cg;
-  healthy.escalate = false;
-  ASSERT_TRUE(Solver(a, healthy).solve(b, x_ok).converged);
+  Solver solver(a);
+  ASSERT_EQ(solver.kind(), SolverKind::Cg);
+  Vector x_ok(a.size(), 0.0);
+  ASSERT_TRUE(solver.iterate_once(b, x_ok, IterativeOptions{}).converged);
 
-  Vector x;
-  SolveOptions opts = healthy;
-  opts.iterative.stagnation_window = 1;
-  opts.iterative.stagnation_factor = 1e-30;  // unreachable improvement
-  const auto report = Solver(a, opts).solve(b, x);
+  Vector x(a.size(), 0.0);
+  IterativeOptions stalled;
+  stalled.stagnation_window = 1;
+  stalled.stagnation_factor = 1e-30;  // unreachable improvement
+  const auto report = solver.iterate_once(b, x, stalled);
   EXPECT_FALSE(report.converged);
-  EXPECT_LE(report.attempts[0].iterations, 3u);
+  EXPECT_LE(report.iterations, 3u);
   EXPECT_TRUE(all_finite(x));
 }
 

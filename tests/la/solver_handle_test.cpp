@@ -1,5 +1,5 @@
-// la::Solver handle semantics: workspace reuse, solve_many batching,
-// iterate_once, and per-call option overrides.
+// la::Solver handle semantics: workspace reuse, iterate_once, per-call
+// option overrides, and the bind's ILU(0) -> Jacobi degradation.
 #include "la/solver.h"
 
 #include <gtest/gtest.h>
@@ -73,70 +73,24 @@ TEST(SolverHandleTest, RepeatedSolvesAreIdentical) {
   EXPECT_EQ(r_first.iterations, r_second.iterations);
 }
 
-TEST(SolverHandleTest, SolveManyMatchesLoopedSolve) {
-  const CsrMatrix a = grid_laplacian(8);
-  std::vector<Vector> bs;
-  for (int k = 0; k < 3; ++k) {
-    Vector b(a.size(), 0.0);
-    b[static_cast<std::size_t>(k) * 7] = 1.0 + k;
-    bs.push_back(std::move(b));
-  }
-
-  Solver batched(a);
-  std::vector<Vector> xs_batched;
-  const auto reports = batched.solve_many(bs, xs_batched);
-
-  Solver looped(a);
-  ASSERT_EQ(reports.size(), bs.size());
-  ASSERT_EQ(xs_batched.size(), bs.size());
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    Vector x;
-    const auto r = looped.solve(bs[i], x);
-    ASSERT_TRUE(reports[i].converged);
-    ASSERT_TRUE(r.converged);
-    EXPECT_EQ(xs_batched[i], x) << "rhs " << i;
-    EXPECT_EQ(reports[i].iterations, r.iterations) << "rhs " << i;
-  }
-}
-
-TEST(SolverHandleTest, SolveManyUsesGuessesAndResizesMissing) {
-  const CsrMatrix a = grid_laplacian(6);
-  const std::vector<Vector> bs(2, Vector(a.size(), 1.0));
-
-  Solver solver(a);
-  Vector reference_x;
-  const auto cold = solver.solve(bs[0], reference_x);
-  ASSERT_TRUE(cold.converged);
-
-  // xs[0] warm-started at the solution, xs[1] absent (zero guess).
-  std::vector<Vector> xs;
-  xs.push_back(reference_x);
-  const auto reports = solver.solve_many(bs, xs);
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_TRUE(reports[0].converged);
-  EXPECT_TRUE(reports[1].converged);
-  EXPECT_LE(reports[0].iterations, 1u);           // warm start
-  EXPECT_EQ(reports[1].iterations, cold.iterations);  // cold start
-}
-
 TEST(SolverHandleTest, PerCallIterativeOverride) {
   const CsrMatrix a = grid_laplacian(16);
   const Vector b(a.size(), 1.0);
-
-  SolveOptions options;
-  options.escalate = false;
-  Solver solver(a, options);
+  Solver solver(a);
 
   IterativeOptions starved;
   starved.max_iterations = 1;
   starved.relative_tolerance = 1e-12;
-  Vector x_starved;
-  const auto r_starved = solver.solve(b, x_starved, starved);
+  Vector x_starved(a.size(), 0.0);
+  const auto r_starved = solver.iterate_once(b, x_starved, starved);
   EXPECT_FALSE(r_starved.converged);
+  EXPECT_EQ(r_starved.iterations, 1u);
 
-  // The bind-time options are untouched: a plain solve still converges.
-  Vector x;
-  EXPECT_TRUE(solver.solve(b, x).converged);
+  // The override does not stick: the next call runs on its own options.
+  Vector x(a.size(), 0.0);
+  const auto r = solver.iterate_once(b, x, IterativeOptions{});
+  EXPECT_TRUE(r.converged);
+  EXPECT_GT(r.iterations, 1u);
 }
 
 TEST(SolverHandleTest, IterateOnceIsSingleAttempt) {
@@ -178,8 +132,8 @@ TEST(SolverHandleTest, SolveCountersIncludeIterateOnce) {
     const auto before = telemetry::snapshot();
     Solver solver(a, opts);
     Vector x(a.size(), 0.0);
-    ASSERT_TRUE(solver.iterate_once(b, x, opts.iterative).converged);
-    ASSERT_TRUE(solver.iterate_once(b, x, opts.iterative).converged);
+    ASSERT_TRUE(solver.iterate_once(b, x, IterativeOptions{}).converged);
+    ASSERT_TRUE(solver.iterate_once(b, x, IterativeOptions{}).converged);
     ASSERT_TRUE(solver.solve(b, x).converged);
     const auto after = telemetry::snapshot();
     const auto delta = [&](const std::string& name) {
@@ -211,6 +165,31 @@ TEST(SolverHandleTest, EscalationLadderStillRunsThroughHandle) {
   ASSERT_TRUE(report.converged);
   EXPECT_GT(report.attempts.size(), 1u);
   EXPECT_EQ(report.attempts.back().method, "dense-lu");
+}
+
+TEST(SolverHandleTest, UnfactorableMatrixBindsJacobi) {
+  // Row 0 has no diagonal entry, so ILU(0) cannot factor: the bind degrades
+  // to Jacobi, and the ladder still reaches the solution.
+  CooBuilder builder(3);
+  builder.add(0, 1, 1.0);
+  builder.add(1, 0, 1.0);
+  builder.add(1, 1, 2.0);
+  builder.add(1, 2, -1.0);
+  builder.add(2, 1, -1.0);
+  builder.add(2, 2, 2.0);
+  const CsrMatrix a = builder.build();
+  Solver solver(a);
+  EXPECT_EQ(solver.preconditioner_label(), "jacobi");
+
+  const Vector x_true{1.0, 2.0, 3.0};
+  const Vector b = a.multiply(x_true);
+  Vector x;
+  const auto report = solver.solve(b, x);
+  ASSERT_TRUE(report.converged) << report.diagnostic;
+  EXPECT_EQ(report.attempts.front().method, "cg+jacobi");
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_NEAR(x[i], x_true[i], 1e-8) << "x[" << i << "]";
+  }
 }
 
 TEST(SolverHandleTest, RejectsSizeMismatch) {

@@ -58,11 +58,18 @@
 # tests (tests/em/array_mttf_test.cpp) and by the bench/e2e `results`,
 # which must equal the parent commit's exactly.
 #
-# Last, the text front ends (common/text_input.h): `import --solve` and
+# Then the text front ends (common/text_input.h): `import --solve` and
 # `validate` on each pgio fixture (netlist and .solution readers), `config`
 # (the stackup-config writer, whose bytes the campaign config hash covers)
 # and `spice` on the examples/spice_runner demo netlist, which this script
 # writes into its work directory.
+#
+# Last, the single-scenario routes on an 8-layer stack: `noise
+# --imbalance=0.65 --map` (one PDN DC solve and its droop map), `em
+# --topology=regular` (per-conductor EM lifetimes), `efficiency
+# --converters=8` (the power-efficiency breakdown) and `thermal` (the
+# thermal grid, a one-shot la::Solver solve with default iteration
+# options).
 #
 # A change that claims identical outputs runs this with the parent commit's
 # binary as BASE_CLI and its own as HEAD_CLI.
@@ -248,5 +255,9 @@ validate $pgio/mesh3x3.spice
 validate $pgio/twonet_vias.spice
 config
 spice $WORK/spice_runner_demo.sp
+noise --layers=8 --imbalance=0.65 --map
+em --topology=regular --layers=8
+efficiency --layers=8 --converters=8
+thermal --layers=8
 EOF
 exit $status
