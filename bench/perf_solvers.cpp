@@ -1,6 +1,6 @@
 // google-benchmark timing of the linear-algebra kernels on PDN-shaped
-// systems: CG vs BiCGSTAB, Jacobi vs ILU(0), per-backend SpMV, and a full
-// PDN solve.  A scoreboard after the timed runs records the backend SpMV
+// systems: CG with Jacobi vs ILU(0), per-backend SpMV, and a full PDN
+// solve.  A scoreboard after the timed runs records the backend SpMV
 // throughputs and the Jacobi-vs-ILU(0) iteration-growth trend as
 // telemetry gauges, so they land in BENCH_perf_solvers.json.
 #include <benchmark/benchmark.h>
@@ -114,18 +114,6 @@ void BM_SolverHandleResolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolverHandleResolve)->Arg(32)->Arg(64);
-
-void BM_BiCgStabIlu0(benchmark::State& state) {
-  const auto a = grid_matrix(static_cast<std::size_t>(state.range(0)));
-  const la::Vector b(a.size(), 1.0);
-  const auto precond = la::make_ilu0(a);
-  for (auto _ : state) {
-    la::Vector x;
-    auto report = la::bicgstab(a, b, x, *precond);
-    benchmark::DoNotOptimize(report.iterations);
-  }
-}
-BENCHMARK(BM_BiCgStabIlu0)->Arg(32)->Arg(64);
 
 void BM_SkylineCholeskyFactor(benchmark::State& state) {
   const auto a = grid_matrix(static_cast<std::size_t>(state.range(0)));

@@ -4,9 +4,9 @@
 //
 //   $ ./fault_campaign [layers] [grid]
 //
-// Every case runs through the la::Solver degradation ladder -- damaged
-// networks never throw; they come back Survivable, Degraded, or Infeasible
-// with a structured diagnostic (see docs/fault_model.md).
+// Every case runs through the non-throwing la::Solver (CG, then dense LU)
+// -- damaged networks never throw; they come back Survivable, Degraded, or
+// Infeasible with a structured diagnostic (see docs/fault_model.md).
 #include <cstdlib>
 #include <iostream>
 

@@ -16,8 +16,8 @@
 // The campaign half is grid-independent and runs against a FaultTarget:
 // ContingencyEngine is the target for synthesized stacks (pdn::PdnModel),
 // pgio/campaign.h the one for imported benchmark grids.  Damaged networks
-// may be near-singular; all solves run through the la::Solver degradation
-// ladder and NEVER throw -- every case ends as Survivable, Degraded, or
+// may be near-singular; all solves run through the non-throwing la::Solver
+// (CG, then dense LU) -- every case ends as Survivable, Degraded, or
 // Infeasible with a structured diagnostic.
 #pragma once
 
@@ -103,7 +103,7 @@ struct ContingencyCase {
   pdn::FaultSet faults;
   CaseOutcome outcome = CaseOutcome::Infeasible;
   bool solved = false;
-  std::size_t solve_attempts = 1;  // escalation-ladder rungs used
+  std::size_t solve_attempts = 1;  // la::Solver attempts (CG, dense LU)
   std::size_t floating_islands = 0;
   double max_node_deviation_fraction = 0.0;
   double max_ir_drop_fraction = 0.0;

@@ -1,6 +1,7 @@
-// Preconditioned conjugate gradient for symmetric positive-definite systems
-// (the regular-PDN and thermal grids), plus the Krylov workspace/context
-// plumbing shared with BiCGSTAB.
+// Preconditioned conjugate gradient for the symmetric positive-definite
+// grid Laplacians every layer solves (PDN DC and transient steps, imported
+// grids, thermal), plus its workspace/context plumbing and the report
+// la::Solver returns.
 #pragma once
 
 #include <string>
@@ -13,17 +14,17 @@
 
 namespace vstack::la {
 
-/// One rung of the front-door solve's escalation ladder (see la/solver.h).
+/// One step of the front-door solve (see la/solver.h).
 struct SolveAttempt {
-  std::string method;          // e.g. "cg+ilu0", "bicgstab+jacobi", "dense-lu"
+  std::string method;          // "cg+ilu0", "cg+jacobi" or "dense-lu"
   bool converged = false;
   std::size_t iterations = 0;
   double residual_norm = 0.0;
 };
 
-/// Convergence report shared by the Krylov solvers.  The base fields always
-/// describe the final (or only) attempt; `attempts` is the full escalation
-/// trail when the report comes from la::Solver::solve, so callers can see HOW
+/// Convergence report of a CG run or of la::Solver::solve.  The base fields
+/// always describe the final (or only) attempt; `attempts` is the full trail
+/// when the report comes from la::Solver::solve, so callers can see HOW
 /// degraded a solve was, not just whether it succeeded.
 struct SolveReport {
   bool converged = false;
@@ -43,8 +44,8 @@ struct IterativeOptions {
   /// Stagnation detection: give up when the best residual seen has not
   /// improved by at least a factor of `stagnation_factor` within the last
   /// `stagnation_window` iterations.  0 disables the check (default for
-  /// direct solver calls; la::Solver enables it per escalation rung so a
-  /// stalled Krylov run hands over to the next method promptly).
+  /// direct conjugate_gradient calls; la::Solver enables it so a stalled CG
+  /// run hands over to dense LU promptly).
   std::size_t stagnation_window = 0;
   double stagnation_factor = 0.99;
   /// Cooperative cancellation / wall-clock deadline, checked every few
@@ -55,29 +56,23 @@ struct IterativeOptions {
   Deadline deadline{};
 };
 
-/// Reusable iteration scratch shared by CG and BiCGSTAB.  A solver handle
-/// owns one and threads it through every solve against its matrix, so the
-/// Krylov loops allocate nothing after the first call (docs/
-/// linear_algebra.md).  ensure() is idempotent and cheap once sized.
+/// Reusable CG iteration scratch.  A solver handle owns one and threads it
+/// through every solve against its matrix, so the CG loop allocates nothing
+/// after the first call (docs/linear_algebra.md).  ensure() is idempotent
+/// and cheap once sized.
 struct KrylovWorkspace {
-  Vector r, z, p, ap;           // CG set (ap doubles as SpMV scratch)
-  Vector r_hat, v, s, t, y;     // BiCGSTAB extras
+  Vector r, z, p, ap;  // ap doubles as SpMV scratch
   void ensure(std::size_t n) {
     if (r.size() != n) {
       r.resize(n);
       z.resize(n);
       p.resize(n);
       ap.resize(n);
-      r_hat.resize(n);
-      v.resize(n);
-      s.resize(n);
-      t.resize(n);
-      y.resize(n);
     }
   }
 };
 
-/// Optional execution context for a Krylov solve: which kernel backend to
+/// Optional execution context for a CG solve: which kernel backend to
 /// run on, an already-prepared matrix form, and a reusable workspace.  Any
 /// field may be null; a null backend resolves to default_backend(), and
 /// null prepared/workspace fall back to per-call locals.  `prepared` must

@@ -40,7 +40,7 @@ class DenseMatrix {
 /// LU factorization with partial pivoting; throws vstack::Error on a
 /// numerically singular matrix, or when `deadline` fires mid-factorization
 /// (the O(n^3) elimination is the one dense step long enough to need a
-/// cooperative abort -- see la/solver.cpp's escalation ladder).
+/// cooperative abort -- see la/solver.cpp's dense fallback).
 class DenseLu {
  public:
   explicit DenseLu(DenseMatrix a, const Deadline& deadline = {});

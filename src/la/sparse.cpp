@@ -1,7 +1,6 @@
 #include "la/sparse.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/error.h"
@@ -148,31 +147,6 @@ Vector CsrMatrix::diagonal() const {
   Vector d(n_, 0.0);
   for (std::size_t r = 0; r < n_; ++r) d[r] = at(r, r);
   return d;
-}
-
-bool CsrMatrix::is_symmetric(double tol) const {
-  constexpr double kDefaultTol = 1e-12;
-  if (tol == kDefaultTol) {
-    const signed char memo = symmetry_memo_.load(std::memory_order_relaxed);
-    if (memo >= 0) return memo != 0;
-    const bool sym = symmetry_scan(tol);
-    symmetry_memo_.store(sym ? 1 : 0, std::memory_order_relaxed);
-    return sym;
-  }
-  return symmetry_scan(tol);
-}
-
-bool CsrMatrix::symmetry_scan(double tol) const {
-  double max_abs = 0.0;
-  for (double v : values_) max_abs = std::max(max_abs, std::abs(v));
-  const double threshold = tol * std::max(max_abs, 1.0);
-  for (std::size_t r = 0; r < n_; ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const std::size_t c = col_idx_[k];
-      if (std::abs(values_[k] - at(c, r)) > threshold) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace vstack::la

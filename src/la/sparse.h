@@ -7,7 +7,6 @@
 // a CsrAssembly and replay it per value set.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <vector>
 
@@ -83,40 +82,6 @@ class CsrMatrix {
   CsrMatrix(std::size_t n, std::vector<std::size_t> row_ptr,
             std::vector<std::size_t> col_idx, std::vector<double> values);
 
-  // The symmetry memo (an atomic) is not copyable/movable by default; carry
-  // its value across copies and moves explicitly -- the answer depends only
-  // on the (immutable) payload being copied.
-  CsrMatrix(const CsrMatrix& other)
-      : n_(other.n_),
-        row_ptr_(other.row_ptr_),
-        col_idx_(other.col_idx_),
-        values_(other.values_),
-        symmetry_memo_(other.symmetry_memo_.load(std::memory_order_relaxed)) {}
-  CsrMatrix(CsrMatrix&& other) noexcept
-      : n_(other.n_),
-        row_ptr_(std::move(other.row_ptr_)),
-        col_idx_(std::move(other.col_idx_)),
-        values_(std::move(other.values_)),
-        symmetry_memo_(other.symmetry_memo_.load(std::memory_order_relaxed)) {}
-  CsrMatrix& operator=(const CsrMatrix& other) {
-    n_ = other.n_;
-    row_ptr_ = other.row_ptr_;
-    col_idx_ = other.col_idx_;
-    values_ = other.values_;
-    symmetry_memo_.store(other.symmetry_memo_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    return *this;
-  }
-  CsrMatrix& operator=(CsrMatrix&& other) noexcept {
-    n_ = other.n_;
-    row_ptr_ = std::move(other.row_ptr_);
-    col_idx_ = std::move(other.col_idx_);
-    values_ = std::move(other.values_);
-    symmetry_memo_.store(other.symmetry_memo_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    return *this;
-  }
-
   std::size_t size() const { return n_; }
   std::size_t nnz() const { return values_.size(); }
 
@@ -134,26 +99,11 @@ class CsrMatrix {
   /// Extract the diagonal; absent diagonal entries read as 0.
   Vector diagonal() const;
 
-  /// Structural + numerical symmetry check within `tol` (relative to the
-  /// largest absolute entry).  Used to pick CG vs BiCGSTAB.
-  ///
-  /// The answer for the default tolerance is memoized: the scan costs
-  /// O(nnz log row-width) and every la::Solver bind asks, so a cached
-  /// matrix pays it once instead of per bind.  Values are frozen
-  /// after construction, so the memo can never go stale.
-  bool is_symmetric(double tol = 1e-12) const;
-
  private:
-  bool symmetry_scan(double tol) const;
-
   std::size_t n_ = 0;
   std::vector<std::size_t> row_ptr_;
   std::vector<std::size_t> col_idx_;
   std::vector<double> values_;
-  /// Memo for is_symmetric at the default tolerance: -1 unknown, 0 no,
-  /// 1 yes.  Atomic so concurrent readers (campaign workers sharing a
-  /// const model) race benignly on the same answer.
-  mutable std::atomic<signed char> symmetry_memo_{-1};
 };
 
 }  // namespace vstack::la

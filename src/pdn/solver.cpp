@@ -190,21 +190,11 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
     }
   }
 
-  // Fast path: warm-started CG with the cached preconditioner.  On a stall
-  // (damaged network), escalate through the solver handle's degradation
-  // ladder from a cold start and keep the full attempt trail.
+  // Warm-started CG with the cached preconditioner; a damaged network that
+  // stalls it falls back to dense LU inside the solver handle.
   sol.node_voltages =
       (last_solution_.size() == n) ? last_solution_ : la::Vector(n, 0.0);
-  sol.report = cache_->solver->iterate_once(rhs, sol.node_voltages,
-                                            options.iterative);
-  if (!sol.report.converged) {
-    la::SolveAttempt first{"cg+cached-precond", false, sol.report.iterations,
-                           sol.report.residual_norm};
-    sol.node_voltages.assign(n, 0.0);
-    sol.report =
-        cache_->solver->solve(rhs, sol.node_voltages, options.iterative);
-    sol.report.attempts.insert(sol.report.attempts.begin(), first);
-  }
+  sol.report = cache_->solver->solve(rhs, sol.node_voltages, options.iterative);
   if (!sol.report.converged) {
     sol.solve_ok = false;
     sol.diagnostic =

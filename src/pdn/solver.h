@@ -6,10 +6,11 @@
 // each push-pull converter stamps the symmetric PSD block (1/R) v v^T with
 // v = (1/2, 1/2, -1) on (top, bottom, out) -- algebraically identical to a
 // resistor R between the output and the virtual midpoint (V_top+V_bottom)/2.
-// The full system therefore stays SPD for both topologies and is solved
-// with ILU(0)-preconditioned CG.  Fault-damaged networks (pdn/fault.h) may
-// break that structure; when the cached-CG fast path stalls, the solve
-// escalates through the la::Solver degradation ladder and reports the attempt
+// The full system therefore stays SPD for both topologies, intact or
+// fault-damaged (pdn/fault.h opens, degrades and disables stamps but keeps
+// each one symmetric), and is solved with warm-started ILU(0)-preconditioned
+// CG through la::Solver.  When CG stalls on a badly damaged network, the
+// solve falls back to dense LU on small systems and reports the attempt
 // trail instead of throwing (see docs/fault_model.md).
 #pragma once
 
@@ -62,7 +63,7 @@ struct PdnSolution {
   /// True when the solve converged and the metrics above are valid.  A
   /// failed solve does NOT throw (fault-damaged networks are expected to be
   /// hard); it returns solve_ok == false with zeroed metrics and a
-  /// diagnostic, and `report.attempts` shows the escalation trail.
+  /// diagnostic, and `report.attempts` shows what la::Solver tried.
   bool solve_ok = false;
   std::string diagnostic;  // nonempty on failure or structural infeasibility
 

@@ -13,8 +13,8 @@
 // Robustness (shared sim::StepController core, same discipline as
 // circuit/transient.h): optional LTE-controlled adaptive stepping that hits
 // the load-step instant exactly, NaN/overflow guards on every candidate
-// solution, linear solves that escalate through la::Solver's degradation
-// ladder instead of throwing, and hard step / wall-clock budgets.  Callers
+// solution, linear solves that fall back to la::Solver (CG, then dense LU)
+// instead of throwing, and hard step / wall-clock budgets.  Callers
 // check PdnTransientResult::report instead of catching exceptions.
 //
 // Adaptive mode runs on the one PDN step loop, pdn::detail::run_adaptive

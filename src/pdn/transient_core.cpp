@@ -54,22 +54,10 @@ bool StepSolver::solve(double h, bool backward_euler, const la::Vector& rhs,
       return true;
     }
     report.record_event(t, "direct back-substitution produced non-finite "
-                           "values; escalating to the iterative ladder");
+                           "values; falling back to la::Solver");
   }
-  if (c.solver) {
-    la::Vector iterate = x;
-    const auto r = c.solver->iterate_once(rhs, iterate, options_.iterative);
-    if (r.converged &&
-        sim::finite_and_bounded(iterate, options_.control.overflow_limit)) {
-      x = std::move(iterate);
-      return true;
-    }
-    report.record_event(t, "warm-started CG stalled (residual " +
-                               std::to_string(r.residual_norm) +
-                               "); escalating through the solver ladder");
-  }
-  // Final rung: the full non-throwing escalation ladder from PR 1.  Slots
-  // that went direct-only build their iterative handle on first need.
+  // Warm-started CG, then dense LU, through the non-throwing la::Solver.
+  // Slots that went direct-only build their handle on first need.
   if (!c.solver) c.solver = std::make_unique<la::Solver>(c.matrix);
   la::Vector iterate = x;
   const auto r = c.solver->solve(rhs, iterate, options_.iterative);
@@ -116,7 +104,7 @@ StepSolver::Cached& StepSolver::cached(double h, bool backward_euler, double t,
     } catch (const Error&) {
       report.record_event(t, "skyline Cholesky factorization failed for "
                              "dt = " + std::to_string(h) +
-                             " s; using the iterative ladder");
+                             " s; using the iterative solver");
     }
   }
   // Insert first, bind after: the solver handle points at the matrix, so it

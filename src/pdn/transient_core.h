@@ -68,8 +68,9 @@ struct SplitSystem {
 };
 
 /// Per-(dt, scheme, topology epoch) cached factorization / solver handle
-/// with a solve that escalates instead of throwing: skyline Cholesky (small
-/// systems) -> warm-started CG -> la::Solver's full degradation ladder.
+/// with a solve that falls back instead of throwing: skyline Cholesky (small
+/// systems), then one la::Solver::solve from the warm start (CG, then dense
+/// LU).
 class StepSolver {
  public:
   StepSolver(const SplitSystem& sys, const PdnTransientOptions& options)
@@ -77,7 +78,7 @@ class StepSolver {
 
   /// Solve A(h) x = rhs.  `x` carries the warm start and receives the
   /// solution only on success; returns false (with a diagnostic) when every
-  /// rung failed.  Fallback activity is recorded into `report`.
+  /// step failed.  Fallback activity is recorded into `report`.
   bool solve(double h, bool backward_euler, const la::Vector& rhs,
              la::Vector& x, double t, sim::TransientReport& report,
              std::string& diagnostic);
@@ -97,7 +98,7 @@ class StepSolver {
   struct Cached {
     la::CsrMatrix matrix;
     std::unique_ptr<la::ReorderedCholesky> direct;
-    /// Iterative-rung handle bound to `matrix` (owns the preconditioner,
+    /// Iterative handle bound to `matrix` (owns the preconditioner,
     /// backend preparation, and Krylov workspace).  Built when the direct
     /// factorization is skipped or fails; otherwise created lazily the
     /// first time a direct solve goes non-finite.  Always constructed

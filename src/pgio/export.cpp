@@ -88,9 +88,12 @@ PgNetlist from_pdn_model(const pdn::PdnModel& model,
     const bool is_vdd = (rel / cells) % 2 == 0;
     const std::size_t cell = rel % cells;
     const std::size_t plane = 2 * layer + (is_vdd ? 2 : 1);
-    return out.nodes.intern("n" + std::to_string(plane) + "_" +
-                            std::to_string(cell % nx) + "_" +
-                            std::to_string(cell / nx));
+    return out.nodes.intern(std::string("n")
+                                .append(std::to_string(plane))
+                                .append("_")
+                                .append(std::to_string(cell % nx))
+                                .append("_")
+                                .append(std::to_string(cell / nx)));
   };
 
   for (const auto& group : network.conductors()) {

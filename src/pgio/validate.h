@@ -1,5 +1,5 @@
 // Golden-voltage cross-validation: solve an imported grid with the
-// existing la::Solver escalation ladder under each requested kernel
+// existing la::Solver (CG, then dense LU) under each requested kernel
 // backend and compare every netlist node against the benchmark's
 // published `.solution` voltages.
 //

@@ -133,7 +133,7 @@ SupervisorReport run_supervised_job(const core::StudyContext& ctx,
   SupervisorReport report;
   std::vector<Slot> slots(opts.shards);
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    slots[i].worker_id = "w" + std::to_string(i);
+    slots[i].worker_id = std::string("w").append(std::to_string(i));
     spawn_worker(opts, slots[i]);
     ++report.workers_started;
     t_started.add();

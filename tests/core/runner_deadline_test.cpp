@@ -72,7 +72,7 @@ std::string mask_wall_seconds(std::string s) {
   while ((pos = s.find(key, pos)) != std::string::npos) {
     const std::size_t begin = pos + key.size();
     const std::size_t end = s.find_first_of(",}", begin);
-    s.replace(begin, end - begin, "*");
+    s.replace(begin, end - begin, 1, '*');
     pos = begin;
   }
   return s;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "la/bicgstab.h"
 #include "la/cg.h"
 #include "la/solver.h"
 
@@ -86,37 +85,6 @@ TEST(CgTest, ZeroRhsGivesZeroSolution) {
   for (double v : x) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-TEST(BiCgStabTest, SolvesNonSymmetricSystem) {
-  // Convection-diffusion-like: Laplacian plus a skew term.
-  const std::size_t n = 50;
-  CooBuilder builder(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    builder.add(i, i, 3.0);
-    if (i > 0) builder.add(i, i - 1, -1.5);
-    if (i + 1 < n) builder.add(i, i + 1, -0.5);
-  }
-  const CsrMatrix a = builder.build();
-  ASSERT_FALSE(a.is_symmetric());
-
-  Vector b(n, 1.0);
-  Vector x;
-  const auto precond = make_ilu0(a);
-  const auto report = bicgstab(a, b, x, *precond);
-  EXPECT_TRUE(report.converged);
-  EXPECT_LT(residual(a, x, b), 1e-9);
-}
-
-TEST(BiCgStabTest, MatchesCgOnSpdSystem) {
-  const CsrMatrix a = laplacian_2d(12);
-  Vector b(a.size(), 1.0);
-  Vector x_cg, x_bi;
-  conjugate_gradient(a, b, x_cg, *make_ilu0(a));
-  bicgstab(a, b, x_bi, *make_ilu0(a));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(x_cg[i], x_bi[i], 1e-7);
-  }
-}
-
 TEST(SolveTest, AutoPicksCgForSymmetric) {
   const CsrMatrix a = laplacian_1d(20);
   const Vector b(20, 1.0);
@@ -138,7 +106,12 @@ TEST(SolveTest, AutoHandlesNonSymmetric) {
   const Vector b{1.0, 2.0, 3.0};
   Vector x;
   const auto report = Solver(a).solve(b, x);
+  // CG assumes symmetry, and dense LU answers where it fails.  On this
+  // 3x3 matrix ILU(0) is nearly exact and CG alone reaches the tolerance;
+  // either way the answer must check out.
   EXPECT_TRUE(report.converged);
+  ASSERT_FALSE(report.attempts.empty());
+  EXPECT_TRUE(report.attempts.back().converged);
   EXPECT_LT(residual(a, x, b), 1e-8);
 }
 

@@ -227,78 +227,6 @@ TEST(CsrMatrixTest, DiagonalExtraction) {
   EXPECT_DOUBLE_EQ(d[2], -7.0);
 }
 
-TEST(CsrMatrixTest, SymmetryDetection) {
-  CooBuilder sym(3);
-  sym.add(0, 0, 2.0);
-  sym.add(0, 1, -1.0);
-  sym.add(1, 0, -1.0);
-  sym.add(1, 1, 2.0);
-  sym.add(2, 2, 1.0);
-  EXPECT_TRUE(sym.build().is_symmetric());
-
-  CooBuilder asym(2);
-  asym.add(0, 0, 1.0);
-  asym.add(0, 1, 0.5);
-  asym.add(1, 0, -0.5);
-  asym.add(1, 1, 1.0);
-  EXPECT_FALSE(asym.build().is_symmetric());
-}
-
-TEST(CsrMatrixTest, StructuralAsymmetryDetected) {
-  CooBuilder b(2);
-  b.add(0, 0, 1.0);
-  b.add(0, 1, 1.0);  // (1,0) missing entirely
-  b.add(1, 1, 1.0);
-  EXPECT_FALSE(b.build().is_symmetric());
-}
-
-TEST(CsrMatrixTest, SymmetryMemoIsStableAcrossRepeatsAndCopies) {
-  // is_symmetric(default tol) is memoized after the first scan; repeated
-  // queries and copies/moves must keep answering consistently for both
-  // polarities.
-  CooBuilder sym(3);
-  sym.add(0, 0, 2.0);
-  sym.add(0, 1, -1.0);
-  sym.add(1, 0, -1.0);
-  sym.add(1, 1, 2.0);
-  sym.add(2, 2, 1.0);
-  const CsrMatrix a = sym.build();
-  EXPECT_TRUE(a.is_symmetric());
-  EXPECT_TRUE(a.is_symmetric());  // memoized path
-
-  CsrMatrix copied = a;  // memo travels with the copy
-  EXPECT_TRUE(copied.is_symmetric());
-  const CsrMatrix moved = std::move(copied);
-  EXPECT_TRUE(moved.is_symmetric());
-
-  CooBuilder asym(2);
-  asym.add(0, 0, 1.0);
-  asym.add(0, 1, 0.5);
-  asym.add(1, 0, -0.5);
-  asym.add(1, 1, 1.0);
-  const CsrMatrix b = asym.build();
-  EXPECT_FALSE(b.is_symmetric());
-  EXPECT_FALSE(b.is_symmetric());
-  const CsrMatrix b_copy = b;
-  EXPECT_FALSE(b_copy.is_symmetric());
-}
-
-TEST(CsrMatrixTest, NonDefaultToleranceBypassesMemo) {
-  // Nearly-symmetric matrix: asymmetric at 1e-12 (the memoized default)
-  // but symmetric under a loose tolerance.  Mixing the two query kinds
-  // must not cross-contaminate.
-  CooBuilder b(2);
-  b.add(0, 0, 1.0);
-  b.add(0, 1, 0.5);
-  b.add(1, 0, 0.5 + 1e-9);
-  b.add(1, 1, 1.0);
-  const CsrMatrix a = b.build();
-  EXPECT_FALSE(a.is_symmetric());        // default tol, memoized as "no"
-  EXPECT_TRUE(a.is_symmetric(1e-6));     // loose tol, fresh scan
-  EXPECT_FALSE(a.is_symmetric());        // memo still says "no"
-  EXPECT_TRUE(a.is_symmetric(1e-6));
-}
-
 TEST(CsrMatrixTest, MultiplyRejectsWrongSize) {
   CooBuilder b(2);
   b.add(0, 0, 1.0);

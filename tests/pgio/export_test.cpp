@@ -89,9 +89,12 @@ TEST(FromPdnModel, RegularStackExportsAndResolves) {
 
   for (std::size_t layer = 0; layer < cfg.layer_count; ++layer) {
     for (std::size_t cell : {std::size_t{0}, std::size_t{5}}) {
-      const std::string name = "n" + std::to_string(2 * layer + 2) + "_" +
-                               std::to_string(cell % cfg.grid_nx) + "_" +
-                               std::to_string(cell / cfg.grid_nx);
+      const std::string name = std::string("n")
+                                   .append(std::to_string(2 * layer + 2))
+                                   .append("_")
+                                   .append(std::to_string(cell % cfg.grid_nx))
+                                   .append("_")
+                                   .append(std::to_string(cell / cfg.grid_nx));
       double v = 0.0;
       ASSERT_TRUE(grid.node_voltage(sol, name, &v)) << name;
       EXPECT_NEAR(

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "common/error.h"
@@ -147,6 +149,51 @@ TEST(ImportedGrid, DegradeAndLeakageMutators) {
   sol = leaky.solve();
   ASSERT_TRUE(sol.solve_ok) << sol.diagnostic;
   EXPECT_LT(volts(leaky, sol, "n1_3_0"), before);
+}
+
+/// Entries of the stamped unknown-slot Laplacian whose transpose partner
+/// differs in any bit.
+std::size_t asymmetric_entries(const ImportedGrid& grid) {
+  la::CooBuilder builder(grid.unknown_count());
+  la::Vector fixed_rhs, load_rhs;
+  grid.stamp_conductances(builder, fixed_rhs, load_rhs);
+  const la::CsrMatrix a = builder.build();
+  std::size_t mismatches = 0;
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    for (std::size_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
+      const std::size_t c = a.col_idx()[k];
+      if (std::bit_cast<std::uint64_t>(a.values()[k]) !=
+          std::bit_cast<std::uint64_t>(a.at(c, r))) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(ImportedGrid, StampedConductancesAreBitwiseSymmetric) {
+  // la::Solver runs CG only, so every matrix it binds must be symmetric:
+  // intact, and after each fault mutator.
+  for (const char* name : {"ladder4", "mesh3x3", "twonet_vias"}) {
+    const PgNetlist n =
+        read_netlist_file(fixture(std::string(name) + ".spice"));
+    const ImportedGrid intact(n);
+    ASSERT_GT(intact.unknown_count(), 0u) << name;
+    EXPECT_EQ(asymmetric_entries(intact), 0u) << name << " intact";
+    const std::size_t mid = intact.conductors().size() / 2;
+
+    ImportedGrid opened(intact);
+    opened.remove_conductor_units(mid, 1);
+    EXPECT_EQ(asymmetric_entries(opened), 0u) << name << " opened";
+
+    ImportedGrid degraded(intact);
+    degraded.scale_conductor_resistance(mid, 8.0);
+    EXPECT_EQ(asymmetric_entries(degraded), 0u) << name << " degraded";
+
+    ImportedGrid leaky(intact);
+    leaky.add_leakage_to_ground(0, 50.0);
+    EXPECT_EQ(asymmetric_entries(leaky), 0u) << name << " leakage";
+  }
 }
 
 TEST(ImportedGrid, LoadScalingIsLinear) {

@@ -17,6 +17,10 @@ std::string fixture(const std::string& name) {
   return std::string(VSTACK_PGIO_TEST_DATA) + "/" + name;
 }
 
+// Passed by name: GCC 12 flags the defaulted temporary's Deadline as
+// maybe-uninitialized (-Wmaybe-uninitialized) in a Release build.
+const ValidateOptions defaults;
+
 TEST(Validate, FixturesPassUnderEveryBackend) {
   for (const char* name : {"ladder4", "mesh3x3", "twonet_vias"}) {
     const PgNetlist netlist =
@@ -24,7 +28,7 @@ TEST(Validate, FixturesPassUnderEveryBackend) {
     const GoldenSolution golden =
         read_solution_file(fixture(std::string(name) + ".solution"));
     const ImportedGrid grid(netlist);
-    const ValidationReport report = validate(grid, golden);
+    const ValidationReport report = validate(grid, golden, defaults);
     EXPECT_TRUE(report.pass()) << name << ":\n" << report.format();
     ASSERT_EQ(report.backends.size(), 2u);
     for (const auto& b : report.backends) {
@@ -45,7 +49,7 @@ TEST(Validate, DoctoredGoldenFailsAndNamesWorstNode) {
       "n1_1_0 0.7\n"
       "n1_2_0 0.5\n"
       "n1_3_0 0.3\n");  // truth is 0.4: off by 100 mV
-  const ValidationReport report = validate(grid, golden);
+  const ValidationReport report = validate(grid, golden, defaults);
   EXPECT_FALSE(report.pass());
   for (const auto& b : report.backends) {
     EXPECT_TRUE(b.solve_ok);
@@ -66,7 +70,7 @@ TEST(Validate, MissingGoldenNodesFailValidation) {
   const GoldenSolution golden = read_solution_text(
       "n1_0_0 1.0\n"
       "n1_1_0 0.7\n");  // n1_2_0 / n1_3_0 absent
-  const ValidationReport report = validate(grid, golden);
+  const ValidationReport report = validate(grid, golden, defaults);
   EXPECT_FALSE(report.pass());
   for (const auto& b : report.backends) {
     EXPECT_EQ(b.missing, 2u);
@@ -82,7 +86,7 @@ TEST(Validate, FloatingNodesAreSkippedNotCompared) {
       ".end\n");
   const ImportedGrid grid(netlist);
   const GoldenSolution golden = read_solution_text("a 1.0\nb 1.0\n");
-  const ValidationReport report = validate(grid, golden);
+  const ValidationReport report = validate(grid, golden, defaults);
   EXPECT_TRUE(report.pass()) << report.format();
   for (const auto& b : report.backends) {
     EXPECT_EQ(b.skipped_floating, 2u);

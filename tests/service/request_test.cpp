@@ -133,8 +133,7 @@ TEST(RequestSpecValidate, RejectsBadShapes) {
 }
 
 TEST(RequestSpec, EstimatedBytesScalesWithJobs) {
-  RequestSpec spec;
-  spec.id = "e";
+  const RequestSpec spec{.id = "e"};
   EXPECT_GT(spec.estimated_bytes(1), 0u);
   EXPECT_EQ(spec.estimated_bytes(4), 4 * spec.estimated_bytes(1));
   RequestSpec big = spec;

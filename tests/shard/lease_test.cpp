@@ -42,7 +42,7 @@ TEST(LeaseManagerTest, ExactlyOneWinnerAcrossRacingManagers) {
   std::vector<std::unique_ptr<LeaseManager>> managers;
   for (std::size_t i = 0; i < kManagers; ++i) {
     managers.push_back(std::make_unique<LeaseManager>(
-        paths, "w" + std::to_string(i), /*expiry_s=*/30.0,
+        paths, std::string("w").append(std::to_string(i)), /*expiry_s=*/30.0,
         /*heartbeat_s=*/1.0));
   }
   std::atomic<int> winners{0};

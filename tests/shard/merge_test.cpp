@@ -126,7 +126,8 @@ TEST(MergeJobTest, RandomizedSplitsWithDuplicatesAndTornTailsMergeByteIdentical)
         tail = victim.substr(0, victim.size() / 2);
         ++torn;
       }
-      write_shard(paths, "w" + std::to_string(w), assigned[w], tail);
+      write_shard(paths, std::string("w").append(std::to_string(w)),
+                  assigned[w], tail);
     }
 
     const MergeReport merge = merge_job(ctx(), paths.root);
