@@ -16,7 +16,8 @@ int main() {
                       "Normalized TSV EM-free MTTF vs stacked layers "
                       "(all values / 2-layer V-S PDN)");
   const auto ctx = core::StudyContext::paper_defaults();
-  const auto rows = core::run_fig5a(ctx, {2, 4, 6, 8});
+  const core::SweepOptions paper_shapes;  // 2, 4, 6 and 8 layers
+  const auto rows = core::SweepRunner(ctx, paper_shapes).fig5a();
 
   TextTable t({"Layers", "Reg Dense", "Reg Sparse", "Reg Few", "V-S Few"});
   for (const auto& r : rows) {

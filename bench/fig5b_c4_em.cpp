@@ -15,7 +15,8 @@ int main() {
                       "Normalized C4 EM-free MTTF vs stacked layers "
                       "(all values / 2-layer V-S PDN)");
   const auto ctx = core::StudyContext::paper_defaults();
-  const auto rows = core::run_fig5b(ctx, {2, 4, 6, 8});
+  const core::SweepOptions paper_shapes;  // 2, 4, 6 and 8 layers
+  const auto rows = core::SweepRunner(ctx, paper_shapes).fig5b();
 
   TextTable t({"Layers", "Reg 25%", "Reg 50%", "Reg 75%", "Reg 100%",
                "V-S (32 Vdd pads/core)"});

@@ -15,11 +15,12 @@ int main() {
 
   bench::print_header("Fig 6",
                       "Maximum on-chip voltage noise (%Vdd), 8-layer stack");
-  auto ctx = core::StudyContext::paper_defaults();
+  const auto ctx = core::StudyContext::paper_defaults();
 
   std::vector<double> imbalances;
   for (int x = 0; x <= 100; x += 10) imbalances.push_back(x / 100.0);
-  const auto result = core::run_fig6(ctx, 8, {2, 4, 6, 8}, imbalances);
+  const core::SweepOptions paper_shapes;  // 8 layers, 2/4/6/8 per core
+  const auto result = core::SweepRunner(ctx, paper_shapes).fig6(imbalances);
 
   TextTable t({"Imbalance", "V-S 2/core", "V-S 4/core", "V-S 6/core",
                "V-S 8/core"});

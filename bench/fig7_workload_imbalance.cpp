@@ -15,8 +15,8 @@ int main() {
                       "Per-application power distribution (box-plot stats) "
                       "and max workload imbalance");
   const auto ctx = core::StudyContext::paper_defaults();
-  const auto campaign =
-      core::run_fig7(ctx, power::kPaperSampleCount, /*seed=*/2015);
+  const core::SweepOptions paper_shapes;  // 1000 samples, seed 2015
+  const auto campaign = core::SweepRunner(ctx, paper_shapes).fig7();
 
   TextTable t({"Application", "Min (W)", "P25 (W)", "Median (W)", "P75 (W)",
                "Max (W)", "Max Imbalance"});

@@ -19,7 +19,8 @@ int main() {
 
   std::vector<double> imbalances;
   for (int x = 10; x <= 100; x += 10) imbalances.push_back(x / 100.0);
-  const auto result = core::run_fig8(ctx, 8, {2, 4, 6, 8}, imbalances);
+  const core::SweepOptions paper_shapes;  // 8 layers, 2/4/6/8 per core
+  const auto result = core::SweepRunner(ctx, paper_shapes).fig8(imbalances);
 
   TextTable t({"Imbalance", "V-S 2/core", "V-S 4/core", "V-S 6/core",
                "V-S 8/core", "Reg + SC (all power)"});

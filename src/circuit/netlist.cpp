@@ -73,14 +73,4 @@ std::size_t Netlist::add_current_source(NodeId from_node, NodeId to_node,
   return current_sources_.size() - 1;
 }
 
-void Netlist::set_current_source_value(std::size_t index, double current) {
-  VS_REQUIRE(index < current_sources_.size(), "current source index invalid");
-  current_sources_[index].current = current;
-}
-
-void Netlist::set_voltage_source_value(std::size_t index, double voltage) {
-  VS_REQUIRE(index < voltage_sources_.size(), "voltage source index invalid");
-  voltage_sources_[index].voltage = voltage;
-}
-
 }  // namespace vstack::circuit

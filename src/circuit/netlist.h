@@ -94,10 +94,6 @@ class Netlist {
     return current_sources_;
   }
 
-  /// Mutable access used by sweeps (e.g. stepping a load current).
-  void set_current_source_value(std::size_t index, double current);
-  void set_voltage_source_value(std::size_t index, double voltage);
-
  private:
   void check_node(NodeId node) const;
 

@@ -350,7 +350,7 @@ TransientResult TransientSimulator::run_fixed(const TransientOptions& options) {
                           "t = " + std::to_string(t_new) + " s";
       break;
     }
-    if (!sim::finite_and_bounded(x, options.control.overflow_limit)) {
+    if (!sim::finite_and_bounded(x)) {
       report.status = sim::TransientStatus::SolverFailure;
       report.diagnostic =
           "NaN/overflow guard fired at t = " + std::to_string(t_new) +
@@ -424,7 +424,7 @@ TransientResult TransientSimulator::run_adaptive(
       ctl.reject_step("unfactorizable step matrix");
       continue;
     }
-    if (!sim::finite_and_bounded(x, options.control.overflow_limit)) {
+    if (!sim::finite_and_bounded(x)) {
       ctl.reject_step("NaN/overflow guard");
       continue;
     }

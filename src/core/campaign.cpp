@@ -72,7 +72,7 @@ CampaignRunner::CampaignRunner(const StudyContext& ctx,
   config_.validate();
 }
 
-CampaignScenarioResult CampaignRunner::evaluate_scenario(
+CampaignScenarioResult CampaignRunner::run_scenario(
     const PlannedScenario& scenario,
     const std::vector<double>& layer_activities,
     const CampaignOptions& options) const {
@@ -152,13 +152,6 @@ std::vector<PlannedScenario> CampaignRunner::plan(
   return engine.plan_monte_carlo(layer_activities, options.contingency);
 }
 
-CampaignScenarioResult CampaignRunner::run_scenario(
-    const PlannedScenario& scenario,
-    const std::vector<double>& layer_activities,
-    const CampaignOptions& options) const {
-  return evaluate_scenario(scenario, layer_activities, options);
-}
-
 CampaignReport CampaignRunner::run(
     const std::vector<double>& layer_activities,
     const CampaignOptions& options) const {
@@ -214,7 +207,7 @@ CampaignReport CampaignRunner::run(
         if (it != finished.end()) {
           results[i] = it->second;  // hash-verified at commit
         } else {
-          results[i] = evaluate_scenario(plan[i], layer_activities, options);
+          results[i] = run_scenario(plan[i], layer_activities, options);
         }
       },
       [&](std::size_t i) {

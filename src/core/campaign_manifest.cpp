@@ -66,7 +66,9 @@ std::uint64_t campaign_config_hash(const pdn::StackupConfig& config,
   f.u64(c.leakage_faults_per_trial);
   f.f64(c.leakage_resistance);
   f.f64(c.degrade_factor);
-  f.f64(c.mission_time);
+  // The slot of the retired pinned ranking horizon: every campaign ran with
+  // 0 (auto), and hashing it keeps old manifests' config hashes resumable.
+  f.f64(0.0);
 
   const pdn::RideThroughOptions& rt = options.ride_through;
   f.f64(rt.transient.decap_density);

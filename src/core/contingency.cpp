@@ -129,13 +129,10 @@ class PdnTarget final : public FaultTarget {
   std::vector<EmRiskEntry> rank(const pdn::PdnNetwork& net,
                                 const pdn::PdnSolution& solution) const {
     // Ranking horizon: the baseline TSV array's expected damage-free
-    // lifetime unless the caller pinned a mission time.
-    double horizon = options_.mission_time;
-    if (horizon <= 0.0) {
-      horizon = em::array_mttf(solution.tsv_currents, ctx_.black,
-                               ctx_.mttf_options);
-      if (!std::isfinite(horizon)) horizon = 0.0;  // unstressed: by current
-    }
+    // lifetime (its P = 0.5 crossing).
+    double horizon =
+        em::array_mttf(solution.tsv_currents, ctx_.black, ctx_.mttf_options);
+    if (!std::isfinite(horizon)) horizon = 0.0;  // unstressed: by current
 
     std::vector<EmRiskEntry> ranking;
     for (std::size_t i = 0; i < net.conductors().size(); ++i) {

@@ -73,10 +73,6 @@ struct CampaignShape {
 };
 
 struct ContingencyOptions : CampaignShape {
-  /// Horizon for the failure-probability ranking [lifetime units];
-  /// 0 = auto (the baseline TSV array's P = 0.5 crossing).
-  double mission_time = 0.0;
-
   std::size_t converter_faults_per_trial = 0;  // stuck-off phases per trial
 
   pdn::PdnSolveOptions solve;

@@ -37,10 +37,20 @@ pdn::StackupConfig vs_baseline(const StudyContext& ctx) {
 
 }  // namespace
 
-std::vector<Fig5aRow> run_fig5a(const StudyContext& ctx,
-                                const std::vector<std::size_t>& layer_counts,
-                                const ExecutionPolicy& execution) {
+SweepRunner::SweepRunner(const StudyContext& ctx, SweepOptions options)
+    : ctx_(ctx), options_(std::move(options)) {
+  options_.execution.validate();
+  VS_REQUIRE(!options_.layer_counts.empty(),
+             "SweepOptions.layer_counts must not be empty");
+  VS_REQUIRE(!options_.converter_counts.empty(),
+             "SweepOptions.converter_counts must not be empty");
+}
+
+std::vector<Fig5aRow> SweepRunner::fig5a() const {
   VS_SPAN("core.sweep.fig5a");
+  const StudyContext& ctx = ctx_;
+  const ExecutionPolicy& execution = options_.execution;
+  const std::vector<std::size_t>& layer_counts = options_.layer_counts;
   if (execution.deadline.expired()) return {};  // before the baseline solve
   const double baseline = tsv_mttf(ctx, vs_baseline(ctx));
   VS_REQUIRE(baseline > 0.0, "baseline TSV MTTF must be positive");
@@ -74,10 +84,11 @@ std::vector<Fig5aRow> run_fig5a(const StudyContext& ctx,
   return rows;
 }
 
-std::vector<Fig5bRow> run_fig5b(const StudyContext& ctx,
-                                const std::vector<std::size_t>& layer_counts,
-                                const ExecutionPolicy& execution) {
+std::vector<Fig5bRow> SweepRunner::fig5b() const {
   VS_SPAN("core.sweep.fig5b");
+  const StudyContext& ctx = ctx_;
+  const ExecutionPolicy& execution = options_.execution;
+  const std::vector<std::size_t>& layer_counts = options_.layer_counts;
   if (execution.deadline.expired()) return {};  // before the baseline solve
   const double baseline = c4_mttf(ctx, vs_baseline(ctx));
   VS_REQUIRE(baseline > 0.0, "baseline C4 MTTF must be positive");
@@ -109,11 +120,11 @@ std::vector<Fig5bRow> run_fig5b(const StudyContext& ctx,
   return rows;
 }
 
-Fig6Result run_fig6(const StudyContext& ctx, std::size_t layers,
-                    const std::vector<std::size_t>& converter_counts,
-                    const std::vector<double>& imbalances,
-                    const ExecutionPolicy& execution) {
+Fig6Result SweepRunner::fig6(const std::vector<double>& imbalances) const {
   VS_SPAN("core.sweep.fig6");
+  const StudyContext& ctx = ctx_;
+  const std::size_t layers = options_.layers;
+  const std::vector<std::size_t>& converter_counts = options_.converter_counts;
   Fig6Result result;
   result.converter_counts = converter_counts;
 
@@ -133,7 +144,7 @@ Fig6Result run_fig6(const StudyContext& ctx, std::size_t layers,
   // kept, never a column of PdnSolutions.
   std::vector<std::vector<std::optional<double>>> columns(
       converter_counts.size());
-  const TaskPool pool(execution);
+  const TaskPool pool(options_.execution);
   const std::size_t tasks = kReferences + converter_counts.size();
   const std::size_t committed = pool.run_ordered(
       tasks,
@@ -178,24 +189,23 @@ Fig6Result run_fig6(const StudyContext& ctx, std::size_t layers,
   return result;
 }
 
-std::vector<power::ApplicationPowerSummary> run_fig7(const StudyContext& ctx,
-                                                     std::size_t samples,
-                                                     std::uint64_t seed) {
+std::vector<power::ApplicationPowerSummary> SweepRunner::fig7() const {
   VS_SPAN("core.sweep.fig7");
   // One shared Rng drives the whole campaign: inherently serial.
-  Rng rng(seed);
-  return power::run_sampling_campaign(ctx.core_model, samples, rng);
+  Rng rng(options_.fig7_seed);
+  return power::run_sampling_campaign(ctx_.core_model, options_.fig7_samples,
+                                      rng);
 }
 
-Fig8Result run_fig8(const StudyContext& ctx, std::size_t layers,
-                    const std::vector<std::size_t>& converter_counts,
-                    const std::vector<double>& imbalances,
-                    const ExecutionPolicy& execution) {
+Fig8Result SweepRunner::fig8(const std::vector<double>& imbalances) const {
   VS_SPAN("core.sweep.fig8");
+  const StudyContext& ctx = ctx_;
+  const std::size_t layers = options_.layers;
+  const std::vector<std::size_t>& converter_counts = options_.converter_counts;
   Fig8Result result;
   result.converter_counts = converter_counts;
   result.rows.resize(imbalances.size());
-  const TaskPool pool(execution);
+  const TaskPool pool(options_.execution);
   const std::size_t committed = pool.run_ordered(
       imbalances.size(),
       [&](std::size_t r) {
@@ -218,37 +228,6 @@ Fig8Result run_fig8(const StudyContext& ctx, std::size_t layers,
       [](std::size_t) {});
   result.rows.resize(committed);  // a fired deadline keeps the prefix
   return result;
-}
-
-SweepRunner::SweepRunner(const StudyContext& ctx, SweepOptions options)
-    : ctx_(ctx), options_(std::move(options)) {
-  options_.execution.validate();
-  VS_REQUIRE(!options_.layer_counts.empty(),
-             "SweepOptions.layer_counts must not be empty");
-  VS_REQUIRE(!options_.converter_counts.empty(),
-             "SweepOptions.converter_counts must not be empty");
-}
-
-std::vector<Fig5aRow> SweepRunner::fig5a() const {
-  return run_fig5a(ctx_, options_.layer_counts, options_.execution);
-}
-
-std::vector<Fig5bRow> SweepRunner::fig5b() const {
-  return run_fig5b(ctx_, options_.layer_counts, options_.execution);
-}
-
-Fig6Result SweepRunner::fig6(const std::vector<double>& imbalances) const {
-  return run_fig6(ctx_, options_.layers, options_.converter_counts,
-                  imbalances, options_.execution);
-}
-
-std::vector<power::ApplicationPowerSummary> SweepRunner::fig7() const {
-  return run_fig7(ctx_, options_.fig7_samples, options_.fig7_seed);
-}
-
-Fig8Result SweepRunner::fig8(const std::vector<double>& imbalances) const {
-  return run_fig8(ctx_, options_.layers, options_.converter_counts,
-                  imbalances, options_.execution);
 }
 
 }  // namespace vstack::core

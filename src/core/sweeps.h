@@ -2,15 +2,15 @@
 // The bench binaries print these rows; the integration tests assert the
 // paper's qualitative claims on them.
 //
-// Every driver whose points are independent (5a, 5b, 6, 8) takes an
-// ExecutionPolicy (default serial) and fans its work out on the shared
-// worker pool (core/task_pool.h): one task per row, except Fig. 6, whose
-// tasks are its three regular references and one column per converter
-// count.  Results land in sweep order either way, so parallel output is
+// SweepRunner is the one entry point: it binds the study context and the
+// sweep shapes (its defaults are the paper's) once, and each figure is a
+// method.  Every figure whose points are independent (5a, 5b, 6, 8) fans
+// its work out on the shared worker pool (core/task_pool.h) under
+// SweepOptions::execution: one task per row, except Fig. 6, whose tasks
+// are its three regular references and one column per converter count.
+// Results land in sweep order either way, so parallel output is
 // bit-identical to serial.  Fig. 7 is a single seeded sampling campaign and
-// always runs serially.  SweepRunner bundles the context + policy so
-// callers (CLI, benches) stop re-plumbing StudyContext into every
-// figure call; its defaults are the paper's sweep shapes.
+// always runs serially.
 #pragma once
 
 #include <optional>
@@ -31,9 +31,6 @@ struct Fig5aRow {
   double reg_few = 0.0;
   double vs_few = 0.0;  // all normalized to the 2-layer V-S PDN
 };
-std::vector<Fig5aRow> run_fig5a(const StudyContext& ctx,
-                                const std::vector<std::size_t>& layer_counts,
-                                const ExecutionPolicy& execution = {});
 
 /// Fig. 5b: normalized C4 EM-free MTTF vs layer count.
 struct Fig5bRow {
@@ -44,9 +41,6 @@ struct Fig5bRow {
   double reg_100 = 0.0;
   double vs = 0.0;  // normalized to the 2-layer V-S PDN
 };
-std::vector<Fig5bRow> run_fig5b(const StudyContext& ctx,
-                                const std::vector<std::size_t>& layer_counts,
-                                const ExecutionPolicy& execution = {});
 
 /// Fig. 6: maximum on-chip voltage noise vs workload imbalance, 8-layer
 /// stack.  Entries where the converter current limit is violated are
@@ -66,15 +60,6 @@ struct Fig6Result {
   double reg_sparse = 0.0;
   double reg_few = 0.0;
 };
-Fig6Result run_fig6(const StudyContext& ctx, std::size_t layers,
-                    const std::vector<std::size_t>& converter_counts,
-                    const std::vector<double>& imbalances,
-                    const ExecutionPolicy& execution = {});
-
-/// Fig. 7: per-application power distributions (PARSEC campaign).
-std::vector<power::ApplicationPowerSummary> run_fig7(const StudyContext& ctx,
-                                                     std::size_t samples,
-                                                     std::uint64_t seed);
 
 /// Fig. 8: system power efficiency vs imbalance.
 struct Fig8Row {
@@ -86,16 +71,13 @@ struct Fig8Result {
   std::vector<std::size_t> converter_counts;
   std::vector<Fig8Row> rows;
 };
-Fig8Result run_fig8(const StudyContext& ctx, std::size_t layers,
-                    const std::vector<std::size_t>& converter_counts,
-                    const std::vector<double>& imbalances,
-                    const ExecutionPolicy& execution = {});
 
 /// Shared configuration for a SweepRunner; mirrors the ctx+config shape of
 /// CampaignRunner / ContingencyEngine.
 struct SweepOptions {
-  /// Scheduling for every figure driver (see the drivers above for the
-  /// determinism guarantee).
+  /// Scheduling for every figure (see the header comment for the
+  /// determinism guarantee).  A fired deadline keeps the committed row
+  /// prefix of Figs. 5a, 5b and 8 and returns no Fig. 6 rows.
   ExecutionPolicy execution;
 
   /// Layer axis for the Fig. 5 lifetime plots.
@@ -111,20 +93,25 @@ struct SweepOptions {
   std::uint64_t fig7_seed = 2015;
 };
 
-/// Facade over the figure drivers: bind the study context and execution
-/// policy once, then call each figure without re-plumbing either.  The
-/// context must outlive the runner (same borrowing rule as
-/// CampaignRunner).
+/// The figure drivers: bind the study context and the sweep shapes once,
+/// then call each figure.  The context must outlive the runner (same
+/// borrowing rule as CampaignRunner).
 class SweepRunner {
  public:
   explicit SweepRunner(const StudyContext& ctx, SweepOptions options = {});
 
   const SweepOptions& options() const { return options_; }
 
+  /// Fig. 5a over options().layer_counts.
   std::vector<Fig5aRow> fig5a() const;
+  /// Fig. 5b over options().layer_counts.
   std::vector<Fig5bRow> fig5b() const;
+  /// Fig. 6 at options().layers over options().converter_counts.
   Fig6Result fig6(const std::vector<double>& imbalances) const;
+  /// Fig. 7: per-application power distributions (PARSEC campaign) of
+  /// options().fig7_samples samples seeded with options().fig7_seed.
   std::vector<power::ApplicationPowerSummary> fig7() const;
+  /// Fig. 8 at options().layers over options().converter_counts.
   Fig8Result fig8(const std::vector<double>& imbalances) const;
 
  private:

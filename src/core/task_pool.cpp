@@ -49,7 +49,6 @@ std::size_t ExecutionPolicy::resolved_jobs() const {
 }
 
 void ExecutionPolicy::validate() const {
-  VS_REQUIRE(chunk >= 1, "ExecutionPolicy.chunk must be >= 1");
   VS_REQUIRE(jobs <= 4096, "ExecutionPolicy.jobs is bounded (<= 4096)");
 }
 
@@ -59,13 +58,14 @@ TaskPool::TaskPool(ExecutionPolicy policy) : policy_(policy) {
 
 namespace {
 
-/// Per-index lifecycle, guarded by the pool mutex.  Skipped marks indices a
-/// worker claimed but abandoned after cancellation; indices never claimed
-/// stay Pending and are recognized once every worker has exited.
-enum class Slot : unsigned char { Pending, Done, Failed, Skipped };
+/// Per-index lifecycle, guarded by the pool mutex.  A claimed index always
+/// runs to Done or Failed; indices never claimed (after an error or a fired
+/// deadline) stay Pending and are recognized once every worker has exited.
+enum class Slot : unsigned char { Pending, Done, Failed };
 
 // Pool telemetry (observation only; the scheduling and the ordered
-// reduction are untouched, so parallel/serial bit-identity holds).
+// reduction are untouched, so parallel/serial bit-identity holds).  A
+// "chunk" is one claimed index.
 const telemetry::Counter t_tasks("core.task_pool.tasks");
 const telemetry::Counter t_runs("core.task_pool.runs");
 const telemetry::Gauge t_jobs("core.task_pool.jobs");
@@ -98,7 +98,6 @@ std::size_t TaskPool::run_ordered(std::size_t count, const Work& work,
     return count;
   }
 
-  const std::size_t chunk = policy_.chunk;
   std::mutex mu;
   std::condition_variable ready_cv;
   std::vector<Slot> slots(count, Slot::Pending);
@@ -109,42 +108,31 @@ std::size_t TaskPool::run_ordered(std::size_t count, const Work& work,
 
   auto worker_main = [&](std::size_t wid) {
     set_log_worker_id(static_cast<int>(wid));
-    for (;;) {
-      // Deadline check only at chunk boundaries: in-flight scenarios drain
-      // (their inner loops poll the same token), new ones never start.
-      if (cancelled.load(std::memory_order_acquire) || deadline.expired()) {
-        break;
-      }
-      const std::size_t begin =
-          cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= count) break;
-      const std::size_t end = std::min(count, begin + chunk);
+    // Checked before every claim: after an error or a fired deadline no new
+    // work starts, and in-flight scenarios drain (their inner loops poll
+    // the same deadline).
+    while (!cancelled.load(std::memory_order_acquire) &&
+           !deadline.expired()) {
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) break;
       VS_SPAN("core.task_pool.chunk");
-      const double chunk_start = telemetry::monotonic_seconds();
-      for (std::size_t i = begin; i < end; ++i) {
-        Slot outcome = Slot::Skipped;
-        std::exception_ptr error;
-        if (!cancelled.load(std::memory_order_acquire) &&
-            !deadline.expired()) {
-          try {
-            work(i);
-            outcome = Slot::Done;
-          } catch (...) {
-            outcome = Slot::Failed;
-            error = std::current_exception();
-            if (policy_.cancel_on_error) {
-              cancelled.store(true, std::memory_order_release);
-            }
-          }
-        }
-        {
-          const std::lock_guard<std::mutex> lock(mu);
-          slots[i] = outcome;
-          errors[i] = std::move(error);
-        }
-        ready_cv.notify_all();
+      const double start = telemetry::monotonic_seconds();
+      Slot outcome = Slot::Done;
+      std::exception_ptr error;
+      try {
+        work(i);
+      } catch (...) {
+        outcome = Slot::Failed;
+        error = std::current_exception();
+        cancelled.store(true, std::memory_order_release);
       }
-      t_chunk_seconds.record(telemetry::monotonic_seconds() - chunk_start);
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        slots[i] = outcome;
+        errors[i] = std::move(error);
+      }
+      ready_cv.notify_all();
+      t_chunk_seconds.record(telemetry::monotonic_seconds() - start);
     }
     {
       const std::lock_guard<std::mutex> lock(mu);
@@ -161,6 +149,8 @@ std::size_t TaskPool::run_ordered(std::size_t count, const Work& work,
   // aggregates and checkpoint manifests are bit-identical to a serial run
   // no matter in what order the workers finish.  `committed` stays a
   // contiguous prefix: the scan halts at the first slot that is not Done.
+  // Claims are in index order and every claimed index runs, so the first
+  // Failed slot the scan meets is the lowest-index work error.
   std::exception_ptr first_error;
   std::size_t committed = 0;
   {
@@ -172,11 +162,10 @@ std::size_t TaskPool::run_ordered(std::size_t count, const Work& work,
       });
       t_commit_wait_seconds.record(telemetry::monotonic_seconds() -
                                    wait_start);
-      if (slots[i] == Slot::Pending || slots[i] == Slot::Skipped) break;
+      if (slots[i] == Slot::Pending) break;
       if (slots[i] == Slot::Failed) {
-        if (!first_error) first_error = errors[i];
-        if (policy_.cancel_on_error) break;
-        continue;  // keep committing survivors; rethrow at the end
+        first_error = errors[i];
+        break;
       }
       lock.unlock();
       try {
@@ -193,15 +182,6 @@ std::size_t TaskPool::run_ordered(std::size_t count, const Work& work,
   }
   if (first_error) cancelled.store(true, std::memory_order_release);
   for (std::thread& t : workers) t.join();
-  if (!first_error) {
-    // Cancellation can skip an index BELOW the failing one (claimed but not
-    // yet started when the flag went up), stopping the commit scan before
-    // it reaches the failure.  Recover the lowest-index error here; the
-    // workers are joined, so the error array is stable.
-    for (std::size_t i = 0; i < count && !first_error; ++i) {
-      if (errors[i]) first_error = errors[i];
-    }
-  }
   if (first_error) std::rethrow_exception(first_error);
   return committed;
 }

@@ -11,13 +11,13 @@
 // prefix, never out of order) -- so a manifest written at jobs=8 resumes
 // under jobs=1 and vice versa.  See docs/parallel_execution.md.
 //
-// Scheduling: workers claim chunks of `chunk` consecutive indices from an
-// atomic cursor.  A work exception marks its slot failed; with
-// cancel_on_error (the default) no further chunks are claimed, the
-// committed prefix stays intact, and the lowest-index error is rethrown on
-// the caller.  Commit callbacks run only on the caller's thread, so
-// committers that write files or mutate aggregates need no locking of
-// their own.
+// Scheduling: workers claim one index at a time from an atomic cursor,
+// which balances best when per-scenario cost varies wildly (post-fault
+// transients).  A work exception marks its slot failed and stops all
+// further claims; the committed prefix stays intact, and the lowest-index
+// error is rethrown on the caller once in-flight work drains.  Commit
+// callbacks run only on the caller's thread, so committers that write
+// files or mutate aggregates need no locking of their own.
 #pragma once
 
 #include <cstddef>
@@ -36,20 +36,11 @@ struct ExecutionPolicy {
   /// concurrency).
   std::size_t jobs = 1;
 
-  /// Consecutive indices a worker claims per grab.  1 (default) balances
-  /// best when per-scenario cost varies wildly (post-fault transients);
-  /// larger chunks amortize scheduling for many cheap tasks.
-  std::size_t chunk = 1;
-
-  /// Stop claiming new work after the first work/commit exception (the
-  /// error is rethrown either way, after in-flight scenarios drain).
-  bool cancel_on_error = true;
-
-  /// Cooperative cancellation / wall-clock deadline.  Checked at every
-  /// chunk-claim boundary (and before each serial task): once it fires no
-  /// new work starts, in-flight scenarios drain, and run_ordered returns
-  /// the contiguous committed prefix.  Expiry is NOT an error -- nothing is
-  /// thrown; callers compare the returned count against `count` and consult
+  /// Cooperative cancellation / wall-clock deadline.  Checked before every
+  /// claim (and before each serial task): once it fires no new work starts,
+  /// in-flight scenarios drain, and run_ordered returns the contiguous
+  /// committed prefix.  Expiry is NOT an error -- nothing is thrown; callers
+  /// compare the returned count against `count` and consult
   /// deadline.expired() to label the truncation.  Default: unlimited.
   Deadline deadline{};
 
@@ -61,13 +52,6 @@ struct ExecutionPolicy {
   /// VSTACK_JOBS environment override (positive integer), else
   /// std::thread::hardware_concurrency(), else 1.
   static std::size_t default_jobs();
-
-  static ExecutionPolicy serial() { return {}; }
-  static ExecutionPolicy parallel(std::size_t jobs = 0) {
-    ExecutionPolicy p;
-    p.jobs = jobs;
-    return p;
-  }
 };
 
 class TaskPool {
@@ -86,9 +70,10 @@ class TaskPool {
   const ExecutionPolicy& policy() const { return policy_; }
 
   /// Run `work` over [0, count) on the policy's workers and `commit` each
-  /// index in order on this thread.  Throws the lowest-index work error
-  /// once workers drain (cancelling per policy); a commit error cancels
-  /// and rethrows.  Workers are tagged for logging (set_log_worker_id).
+  /// index in order on this thread.  The first work or commit error stops
+  /// all further claims; once workers drain, the lowest-index work error
+  /// (or the commit error) is rethrown.  Workers are tagged for logging
+  /// (set_log_worker_id).
   ///
   /// Returns the number of indices committed -- always a contiguous prefix
   /// [0, returned).  Less than `count` only when the policy deadline fired

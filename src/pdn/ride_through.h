@@ -12,10 +12,9 @@
 //   PhaseRebalance    -> surviving converter phases at the afflicted rails
 //                        are strengthened (R_series lowered by up to the
 //                        lost-phase ratio, capped by max_rebalance_boost)
-//   FrequencyRetarget -> R_series rescaled by the SC compact model's
-//                        r_series ratio at the boosted switching frequency
-//                        (SSL shrinks, FSL does not); without a compact
-//                        model, 1/boost is used as the SSL-dominated limit
+//   FrequencyRetarget -> R_series rescaled by 1/boost, the SSL-dominated
+//                        limit of the r_series ratio at the boosted
+//                        switching frequency
 //   BypassEngage      -> a bypass linear regulator (add_converter_clone
 //                        with bypass_resistance) is switched in at the
 //                        faulted converter's site
@@ -35,7 +34,6 @@
 #include <vector>
 
 #include "pdn/transient.h"
-#include "sc/compact_model.h"
 #include "sc/supervisor.h"
 
 namespace vstack::pdn {
@@ -66,10 +64,6 @@ struct RideThroughOptions {
   /// Cap on how much PhaseRebalance may strengthen a surviving phase
   /// (R_series never drops below its design value / this factor).
   double max_rebalance_boost = 4.0;
-
-  /// Closed-loop compact model used to translate FrequencyRetarget into an
-  /// R_series ratio; null falls back to the SSL-dominated 1/boost scaling.
-  const sc::ScCompactModel* compact_model = nullptr;
 
   void validate() const;
 };

@@ -49,7 +49,7 @@ PdnSolution PdnModel::solve(const std::vector<LoadInjection>& loads,
     // Closed-loop converters modulate f_sw (and hence R_SSL) with load:
     // iterate the series resistances to a fixed point.
     const sc::ScCompactModel model(cfg.converter);
-    for (std::size_t it = 0; it < options.control_iterations; ++it) {
+    for (std::size_t it = 0; it < kClosedLoopRefinements; ++it) {
       for (std::size_t c = 0; c < r_series.size(); ++c) {
         if (!network_.converters()[c].enabled) continue;
         const double f =

@@ -80,10 +80,11 @@ struct PdnSolution {
 struct PdnSolveOptions {
   la::IterativeOptions iterative{.max_iterations = 20000,
                                  .relative_tolerance = 1e-9};
-  /// Fixed-point refinements of the per-converter series resistance for
-  /// closed-loop converter control (ignored for open loop).
-  std::size_t control_iterations = 3;
 };
+
+/// Fixed-point refinements of the per-converter series resistance for
+/// closed-loop converter control (open-loop stacks solve once).
+inline constexpr std::size_t kClosedLoopRefinements = 3;
 
 /// One PDN network plus its cached assembled system.  The matrix, the
 /// floating-island map and the bound la::Solver (preconditioner, prepared

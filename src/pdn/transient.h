@@ -100,18 +100,13 @@ struct PdnTransientOptions {
   /// budgets and reporting apply either way.
   bool adaptive = false;
 
-  /// Tolerances, budgets and guard thresholds for the shared controller.
+  /// Tolerances and budgets for the shared controller.
   sim::StepControlOptions control;
 
+  /// CG settings of the step solves above detail::kDirectSolverNodeLimit
+  /// unknowns (and of the fallback when a direct solve goes non-finite).
   la::IterativeOptions iterative{.max_iterations = 20000,
                                  .relative_tolerance = 1e-8};
-
-  /// Systems at or below this many unknowns are factorized per distinct
-  /// timestep with the RCM-reordered skyline Cholesky and back-substituted
-  /// per step (hundreds of times faster than per-step CG at small sizes);
-  /// larger systems use warm-started CG.  Set to 0 to force the iterative
-  /// path.
-  std::size_t direct_solver_node_limit = 2500;
 
   void validate() const;
 };

@@ -49,7 +49,7 @@ bool StepSolver::solve(double h, bool backward_euler, const la::Vector& rhs,
   Cached& c = cached(h, backward_euler, t, report);
   if (c.direct) {
     la::Vector sol = c.direct->solve(rhs);
-    if (sim::finite_and_bounded(sol, options_.control.overflow_limit)) {
+    if (sim::finite_and_bounded(sol)) {
       x = std::move(sol);
       return true;
     }
@@ -61,8 +61,7 @@ bool StepSolver::solve(double h, bool backward_euler, const la::Vector& rhs,
   if (!c.solver) c.solver = std::make_unique<la::Solver>(c.matrix);
   la::Vector iterate = x;
   const auto r = c.solver->solve(rhs, iterate, options_.iterative);
-  if (r.converged &&
-      sim::finite_and_bounded(iterate, options_.control.overflow_limit)) {
+  if (r.converged && sim::finite_and_bounded(iterate)) {
     x = std::move(iterate);
     return true;
   }
@@ -94,7 +93,7 @@ StepSolver::Cached& StepSolver::cached(double h, bool backward_euler, double t,
 
   Cached c;
   c.matrix = sys_.assemble(h, backward_euler);
-  if (sys_.n <= options_.direct_solver_node_limit) {
+  if (sys_.n <= kDirectSolverNodeLimit) {
     if (ordering_epoch_ != sys_.epoch) {
       ordering_ = la::reverse_cuthill_mckee(c.matrix);
       ordering_epoch_ = sys_.epoch;
@@ -427,7 +426,7 @@ sim::TransientReport run_adaptive(TransientWorkspace& ws,
       ctl.reject_step("linear solve failure");
       continue;
     }
-    if (!sim::finite_and_bounded(candidate, options.control.overflow_limit)) {
+    if (!sim::finite_and_bounded(candidate)) {
       ctl.reject_step("NaN/overflow guard");
       continue;
     }

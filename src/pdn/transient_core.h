@@ -67,10 +67,16 @@ struct SplitSystem {
   la::CsrMatrix assemble(double h, bool backward_euler) const;
 };
 
+/// Step systems of at most this many unknowns are factorized per distinct
+/// timestep with the RCM-reordered skyline Cholesky and back-substituted per
+/// step (hundreds of times faster than per-step CG at small sizes); larger
+/// systems use warm-started CG.
+inline constexpr std::size_t kDirectSolverNodeLimit = 2500;
+
 /// Per-(dt, scheme, topology epoch) cached factorization / solver handle
-/// with a solve that falls back instead of throwing: skyline Cholesky (small
-/// systems), then one la::Solver::solve from the warm start (CG, then dense
-/// LU).
+/// with a solve that falls back instead of throwing: skyline Cholesky (at
+/// most kDirectSolverNodeLimit unknowns), then one la::Solver::solve from
+/// the warm start (CG, then dense LU).
 class StepSolver {
  public:
   StepSolver(const SplitSystem& sys, const PdnTransientOptions& options)

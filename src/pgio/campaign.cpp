@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "core/task_pool.h"
 #include "sim/step_control.h"
 #include "telemetry/telemetry.h"
 
@@ -181,23 +180,6 @@ core::ContingencyReport run_monte_carlo(const ImportedGrid& grid,
   return keep_top_k(
       core::run_monte_carlo(GridTarget(grid, options.solve), options),
       options);
-}
-
-std::vector<GridSolution> sweep_load_scale(const ImportedGrid& grid,
-                                           const std::vector<double>& scales,
-                                           const GridCampaignOptions& options) {
-  VS_SPAN("pgio.campaign.sweep");
-  std::vector<GridSolution> results(scales.size());
-  const core::TaskPool pool(options.execution);
-  const std::size_t committed = pool.run_ordered(
-      scales.size(),
-      [&](std::size_t i) {
-        ImportedGrid copy(grid);
-        results[i] = copy.solve_scaled(scales[i], options.solve);
-      },
-      [](std::size_t) {});
-  results.resize(committed);
-  return results;
 }
 
 LoadStepReport simulate_load_step(const ImportedGrid& grid,

@@ -1,7 +1,7 @@
 // Campaign routes for imported benchmark grids: the same robustness
 // machinery the synthesized stacks get -- deterministic N-1 sweeps, seeded
-// Monte Carlo N-k campaigns, load-scale sweeps, and a load-step
-// ride-through transient -- expressed against an ImportedGrid.
+// Monte Carlo N-k campaigns, and a load-step ride-through transient --
+// expressed against an ImportedGrid.
 //
 // The contingency campaigns run on core's engine (core/contingency.h):
 // this file only supplies the grid-specific half of a core::FaultTarget --
@@ -58,13 +58,6 @@ core::ContingencyCase evaluate_case(const ImportedGrid& grid,
                                     const pdn::FaultSet& faults,
                                     const GridCampaignOptions& options = {},
                                     const std::string& label = "");
-
-/// Solve the grid at each load scale (fresh grid copy per scale so the
-/// cases parallelize); results are in `scales` order.
-std::vector<GridSolution> sweep_load_scale(const ImportedGrid& grid,
-                                           const std::vector<double>& scales,
-                                           const GridCampaignOptions& options =
-                                               {});
 
 // ---------------------------------------------------------------------------
 // Load-step ride-through (the imported-grid transient route).

@@ -34,8 +34,7 @@ struct ImportedGrid::Cached {
   std::unique_ptr<la::Solver> solver;
 };
 
-ImportedGrid::ImportedGrid(const PgNetlist& netlist, const GridOptions& options)
-    : netlist_(&netlist), options_(options) {
+ImportedGrid::ImportedGrid(const PgNetlist& netlist) : netlist_(&netlist) {
   VS_SPAN("pgio.grid.build");
   const std::size_t n = netlist.nodes.size();
   const std::size_t ground = n;  // union-find index of the ground net
@@ -204,7 +203,6 @@ void ImportedGrid::refresh_anchoring() {
 
 ImportedGrid::ImportedGrid(const ImportedGrid& other)
     : netlist_(other.netlist_),
-      options_(other.options_),
       unknown_count_(other.unknown_count_),
       topology_epoch_(other.topology_epoch_),
       parent_(other.parent_),
@@ -304,7 +302,7 @@ void ImportedGrid::stamp_conductances(la::CooBuilder& builder,
     }
   }
   for (const std::size_t s : weak_pins_) {
-    builder.add(s, s, options_.weak_pin_conductance);
+    builder.add(s, s, kWeakPinConductance);
   }
   for (const auto& l : loads_) {
     if (l.vdd_node < unknown_count_) load_rhs[l.vdd_node] -= l.current;

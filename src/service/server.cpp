@@ -149,6 +149,9 @@ void ServerOptions::validate() const {
   execution.validate();
   VS_REQUIRE(shard_workers == 0 || !worker_command.empty(),
              "shard_workers needs a worker_command to exec");
+  VS_REQUIRE(shard_workers <= shard::kMaxShards,
+             "shard_workers must not exceed shard::kMaxShards = " +
+                 std::to_string(shard::kMaxShards));
 }
 
 std::string ServerStats::summary() const {

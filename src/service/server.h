@@ -72,7 +72,7 @@ struct ServerOptions {
   /// path.  Each request gets its own job directory under root/jobs/<id>,
   /// so a worker crash (or poison scenario) is isolated from the server
   /// process -- the quarantine + merge machinery of src/shard applies per
-  /// request.  Requires worker_command.
+  /// request.  Requires worker_command; at most shard::kMaxShards.
   std::size_t shard_workers = 0;
 
   /// argv prefix for shard worker processes (typically the server's own

@@ -95,6 +95,9 @@ void spawn_worker(const SupervisorOptions& opts, Slot& slot) {
 void SupervisorOptions::validate() const {
   VS_REQUIRE(!job_dir.empty(), "supervisor needs a job_dir");
   VS_REQUIRE(shards >= 1, "supervisor needs at least one shard");
+  VS_REQUIRE(shards <= kMaxShards,
+             "supervisor shards must not exceed kMaxShards = " +
+                 std::to_string(kMaxShards));
   VS_REQUIRE(!worker_command.empty() && !worker_command.front().empty(),
              "supervisor needs a worker command");
   VS_REQUIRE(std::isfinite(poll_s) && poll_s > 0.0, "poll_s must be > 0");

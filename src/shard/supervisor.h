@@ -40,9 +40,14 @@
 
 namespace vstack::shard {
 
+/// Largest worker fleet a supervisor (or the spool service) will fork.
+/// The count comes from the command line, so it is bounded before any
+/// process starts.
+inline constexpr std::size_t kMaxShards = 256;
+
 struct SupervisorOptions {
   std::string job_dir;
-  std::size_t shards = 2;  // worker process count
+  std::size_t shards = 2;  // worker process count, 1..kMaxShards
   /// argv prefix for workers; "worker --job-dir=... --worker-id=wN
   /// --jobs=N" is appended.  Typically {"/proc/self/exe" resolved}.
   std::vector<std::string> worker_command;

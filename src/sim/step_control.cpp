@@ -87,25 +87,21 @@ std::string TransientReport::summary() const {
 
 void StepControlOptions::validate() const {
   VS_REQUIRE(rel_tol > 0.0 && abs_tol > 0.0, "LTE tolerances must be positive");
-  VS_REQUIRE(dt_min >= 0.0, "dt_min must be non-negative");
-  VS_REQUIRE(dt_grow > 1.0, "dt_grow must exceed 1");
-  VS_REQUIRE(dt_shrink > 0.0 && dt_shrink < 1.0, "dt_shrink must be in (0,1)");
-  VS_REQUIRE(safety > 0.0 && safety <= 1.0, "safety must be in (0,1]");
-  VS_REQUIRE(max_rejections_per_step >= 1,
-             "need at least one rejection before collapse");
-  VS_REQUIRE(overflow_limit > 0.0, "overflow limit must be positive");
 }
 
 StepController::StepController(const StepControlOptions& options,
                                double t_start, double t_end, double dt_init,
                                double dt_max)
-    : opts_(options), t_(t_start), t_end_(t_end), dt_max_(dt_max) {
+    : opts_(options),
+      t_(t_start),
+      t_end_(t_end),
+      dt_max_(dt_max),
+      dt_floor_(dt_max * kDtFloorFraction) {
   opts_.validate();
   VS_REQUIRE(t_end > t_start, "t_end must exceed t_start");
   VS_REQUIRE(dt_init > 0.0 && dt_max > 0.0, "timesteps must be positive");
   VS_REQUIRE(dt_init <= dt_max, "dt_init must not exceed dt_max");
-  if (opts_.dt_min <= 0.0) opts_.dt_min = dt_max * 1e-7;
-  dt_ = std::max(dt_init, opts_.dt_min);
+  dt_ = std::max(dt_init, dt_floor_);
   wall_start_s_ = monotonic_seconds();
 }
 
@@ -177,10 +173,10 @@ bool StepController::finish_step(double err_norm, int order) {
     if (t_ >= t_end_ - 1e-12 * t_end_) done_ = true;
     // Exponential grow-back; a borderline accept (err near 1) shrinks the
     // next step slightly instead of oscillating between accept and reject.
-    double grow = opts_.dt_grow;
+    double grow = kDtGrow;
     if (err_norm > 0.0) {
-      grow = std::min(grow, opts_.safety * std::pow(err_norm, -exponent));
-      grow = std::max(grow, opts_.dt_shrink);
+      grow = std::min(grow, kDtMargin * std::pow(err_norm, -exponent));
+      grow = std::max(grow, kDtShrink);
     }
     dt_ = std::min(dt_ * grow, dt_max_);
     return true;
@@ -189,17 +185,15 @@ bool StepController::finish_step(double err_norm, int order) {
   ++report_.rejected_steps;
   ++report_.lte_rejections;
   ++consecutive_rejections_;
-  double shrink = opts_.dt_shrink;
+  double shrink = kDtShrink;
   if (std::isfinite(err_norm) && err_norm > 1.0) {
-    shrink = std::max(shrink,
-                      std::min(0.5, opts_.safety * std::pow(err_norm,
-                                                            -exponent)));
+    shrink = std::max(
+        shrink, std::min(0.5, kDtMargin * std::pow(err_norm, -exponent)));
   }
   dt_ *= shrink;
-  if (dt_ < opts_.dt_min ||
-      consecutive_rejections_ > opts_.max_rejections_per_step) {
+  if (dt_ < dt_floor_ || consecutive_rejections_ > kMaxConsecutiveRejections) {
     fail(TransientStatus::StepCollapse,
-         "timestep collapsed below " + std::to_string(opts_.dt_min) +
+         "timestep collapsed below " + std::to_string(dt_floor_) +
              " s at t = " + std::to_string(t_) +
              " s after " + std::to_string(consecutive_rejections_) +
              " consecutive rejections");
@@ -218,8 +212,7 @@ void StepController::reject_step(const char* kind) {
   report_.record_event(t_, std::string(kind) + " at dt = " +
                                std::to_string(dt_) + " s; step rejected");
   dt_ *= 0.5;
-  if (dt_ < opts_.dt_min ||
-      consecutive_rejections_ > opts_.max_rejections_per_step) {
+  if (dt_ < dt_floor_ || consecutive_rejections_ > kMaxConsecutiveRejections) {
     fail(TransientStatus::SolverFailure,
          std::string(kind) + " persisted down to dt = " +
              std::to_string(dt_) + " s at t = " + std::to_string(t_) +
@@ -228,7 +221,7 @@ void StepController::reject_step(const char* kind) {
 }
 
 void StepController::reset_dt(double dt) {
-  dt_ = std::min(dt_, std::max(dt, opts_.dt_min));
+  dt_ = std::min(dt_, std::max(dt, dt_floor_));
 }
 
 void StepController::finalize() {
@@ -304,9 +297,9 @@ double error_norm(const std::vector<double>& value,
   return worst;
 }
 
-bool finite_and_bounded(const std::vector<double>& x, double limit) {
+bool finite_and_bounded(const std::vector<double>& x) {
   for (const double v : x) {
-    if (!std::isfinite(v) || std::abs(v) > limit) return false;
+    if (!std::isfinite(v) || std::abs(v) > kOverflowLimit) return false;
   }
   return true;
 }

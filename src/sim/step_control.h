@@ -37,7 +37,7 @@ namespace vstack::sim {
 enum class TransientStatus {
   Completed,        // integrated to the requested stop time
   BudgetExhausted,  // step or wall-clock budget hit; result truncated
-  StepCollapse,     // dt driven below dt_min without an acceptable step
+  StepCollapse,     // dt driven below its floor without an acceptable step
   SolverFailure,    // linear solve unrecoverable after every fallback
 };
 
@@ -83,28 +83,30 @@ struct TransientReport {
   std::string summary() const;
 };
 
+/// StepController's step-size policy.  Every engine runs these values, so
+/// they are constants rather than options.
+inline constexpr double kDtGrow = 2.0;    // max growth factor per accepted step
+inline constexpr double kDtShrink = 0.1;  // max shrink factor per rejected step
+inline constexpr double kDtMargin = 0.8;  // fraction of the LTE-optimal dt taken
+/// The dt floor is dt_max * kDtFloorFraction; a rejection below it collapses.
+inline constexpr double kDtFloorFraction = 1e-7;
+/// Consecutive rejections tolerated before StepCollapse / SolverFailure.
+inline constexpr int kMaxConsecutiveRejections = 16;
+/// Guard threshold: any |entry| beyond this (or any non-finite entry) in a
+/// candidate solution rejects the step.
+inline constexpr double kOverflowLimit = 1e12;
+
 struct StepControlOptions {
   /// LTE acceptance: a step passes when the predictor-corrector error,
   /// normalized per state entry by (abs_tol + rel_tol * |value|), is <= 1.
   double rel_tol = 1e-4;
   double abs_tol = 1e-6;
 
-  double dt_min = 0.0;      // 0 = derived as dt_max * 1e-7
-  double dt_grow = 2.0;     // max growth factor per accepted step
-  double dt_shrink = 0.1;   // max shrink factor per rejected step
-  double safety = 0.8;
-
-  int max_rejections_per_step = 16;  // consecutive, then StepCollapse
-
   /// Hard budgets: 0 disables.  `max_steps` counts attempted (accepted +
   /// rejected) steps; on exhaustion the run returns a truncated result with
   /// status BudgetExhausted instead of running away.
   std::size_t max_steps = 2'000'000;
   double wall_clock_budget_s = 0.0;
-
-  /// Guard threshold: any |entry| beyond this (or any non-finite entry) in a
-  /// candidate solution rejects the step.
-  double overflow_limit = 1e12;
 
   /// External cancellation / wall-clock deadline (service requests, Ctrl-C).
   /// Checked at every begin_step alongside the budgets; when it fires the
@@ -173,6 +175,7 @@ class StepController {
   double t_end_ = 0.0;
   double dt_ = 0.0;
   double dt_max_ = 0.0;
+  double dt_floor_ = 0.0;  // dt_max * kDtFloorFraction
   bool done_ = false;
   bool failed_ = false;
   bool ends_on_event_ = false;
@@ -239,8 +242,8 @@ double error_norm(const std::vector<double>& value,
                   const std::vector<double>& predicted, double rel_tol,
                   double abs_tol);
 
-/// True when every entry is finite and |entry| <= limit.
-bool finite_and_bounded(const std::vector<double>& x, double limit);
+/// True when every entry is finite and |entry| <= kOverflowLimit.
+bool finite_and_bounded(const std::vector<double>& x);
 
 /// Event schedule of clocked-switch edges: `fractions` are edge positions
 /// within one period (in [0, 1)); next_after(t) returns the first edge

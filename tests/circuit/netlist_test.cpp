@@ -55,18 +55,5 @@ TEST(NetlistTest, SwitchValidation) {
                Error);
 }
 
-TEST(NetlistTest, SourceUpdates) {
-  Netlist net;
-  const NodeId a = net.create_node("a");
-  const std::size_t vi = net.add_voltage_source(a, kGround, 1.0);
-  const std::size_t ii = net.add_current_source(a, kGround, 0.1);
-  net.set_voltage_source_value(vi, 2.5);
-  net.set_current_source_value(ii, 0.2);
-  EXPECT_DOUBLE_EQ(net.voltage_sources()[vi].voltage, 2.5);
-  EXPECT_DOUBLE_EQ(net.current_sources()[ii].current, 0.2);
-  EXPECT_THROW(net.set_voltage_source_value(5, 1.0), Error);
-  EXPECT_THROW(net.set_current_source_value(5, 1.0), Error);
-}
-
 }  // namespace
 }  // namespace vstack::circuit

@@ -4,6 +4,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "core/design_space.h"
@@ -21,8 +23,21 @@ const StudyContext& ctx() {
   return c;
 }
 
+/// Sweep shapes for the tests: Figs. 5a/5b read `layer_counts`, Figs. 6/8
+/// read `layers` and `converter_counts`.
+SweepOptions shape(std::vector<std::size_t> layer_counts,
+                   std::vector<std::size_t> converter_counts = {2, 8},
+                   std::size_t layers = 8, std::size_t jobs = 1) {
+  SweepOptions o;
+  o.layer_counts = std::move(layer_counts);
+  o.converter_counts = std::move(converter_counts);
+  o.layers = layers;
+  o.execution.jobs = jobs;
+  return o;
+}
+
 TEST(Fig5aSweepTest, ReproducesPaperShape) {
-  const auto rows = run_fig5a(ctx(), {2, 8});
+  const auto rows = SweepRunner(ctx(), shape({2, 8})).fig5a();
   ASSERT_EQ(rows.size(), 2u);
 
   // 2-layer: V-S normalized to ~1 with regular Few in the same lifetime
@@ -45,7 +60,7 @@ TEST(Fig5aSweepTest, ReproducesPaperShape) {
 }
 
 TEST(Fig5bSweepTest, ReproducesPaperShape) {
-  const auto rows = run_fig5b(ctx(), {2, 8});
+  const auto rows = SweepRunner(ctx(), shape({2, 8})).fig5b();
   ASSERT_EQ(rows.size(), 2u);
 
   // V-S flat at ~1 across layer counts.
@@ -64,7 +79,8 @@ TEST(Fig5bSweepTest, ReproducesPaperShape) {
 }
 
 TEST(Fig6SweepTest, ReproducesPaperShape) {
-  const auto result = run_fig6(ctx(), 8, {2, 8}, {0.0, 0.5, 1.0});
+  const auto result =
+      SweepRunner(ctx(), shape({2, 8})).fig6({0.0, 0.5, 1.0});
   ASSERT_EQ(result.rows.size(), 3u);
 
   // Regular reference ordering: fewer TSVs => more noise.
@@ -90,7 +106,10 @@ TEST(Fig6SweepTest, ReproducesPaperShape) {
 }
 
 TEST(Fig7SweepTest, CampaignStatistics) {
-  const auto summaries = run_fig7(ctx(), 400, 2015);
+  SweepOptions options;
+  options.fig7_samples = 400;
+  options.fig7_seed = 2015;
+  const auto summaries = SweepRunner(ctx(), options).fig7();
   ASSERT_EQ(summaries.size(), 13u);
   double mean_imb = power::mean_max_imbalance(summaries);
   EXPECT_GT(mean_imb, 0.55);
@@ -102,7 +121,8 @@ TEST(Fig7SweepTest, CampaignStatistics) {
 }
 
 TEST(Fig8SweepTest, ReproducesPaperShape) {
-  const auto result = run_fig8(ctx(), 8, {2, 8}, {0.1, 0.5, 1.0});
+  const auto result =
+      SweepRunner(ctx(), shape({2, 8})).fig8({0.1, 0.5, 1.0});
   ASSERT_EQ(result.rows.size(), 3u);
 
   // Efficiency decreases with imbalance for a given converter count.
@@ -126,9 +146,9 @@ TEST(Fig8SweepTest, ReproducesPaperShape) {
 // Worker-pool determinism: figure rows land in sweep order, so jobs=4
 // output is bitwise identical to the serial run.
 TEST(SweepParallelTest, Fig5aParallelMatchesSerialBitwise) {
-  const auto serial = run_fig5a(ctx(), {2, 4, 8});
+  const auto serial = SweepRunner(ctx(), shape({2, 4, 8})).fig5a();
   const auto parallel =
-      run_fig5a(ctx(), {2, 4, 8}, ExecutionPolicy::parallel(4));
+      SweepRunner(ctx(), shape({2, 4, 8}, {2, 8}, 8, 4)).fig5a();
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].layers, parallel[i].layers);
@@ -140,9 +160,10 @@ TEST(SweepParallelTest, Fig5aParallelMatchesSerialBitwise) {
 }
 
 TEST(SweepParallelTest, Fig6ParallelMatchesSerialBitwise) {
-  const auto serial = run_fig6(ctx(), 8, {2, 8}, {0.0, 0.5, 1.0});
-  const auto parallel = run_fig6(ctx(), 8, {2, 8}, {0.0, 0.5, 1.0},
-                                 ExecutionPolicy::parallel(4));
+  const auto serial =
+      SweepRunner(ctx(), shape({2, 8})).fig6({0.0, 0.5, 1.0});
+  const auto parallel =
+      SweepRunner(ctx(), shape({2, 8}, {2, 8}, 8, 4)).fig6({0.0, 0.5, 1.0});
   EXPECT_EQ(serial.reg_dense, parallel.reg_dense);
   EXPECT_EQ(serial.reg_sparse, parallel.reg_sparse);
   EXPECT_EQ(serial.reg_few, parallel.reg_few);
@@ -199,8 +220,9 @@ TEST(SweepParallelTest, Fig6MatchesFreshModelPerPointBitwise) {
 
   for (const std::size_t jobs : {1u, 4u}) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
-    const auto result = run_fig6(ctx(), layers, converters, imbalances,
-                                 ExecutionPolicy::parallel(jobs));
+    const auto result =
+        SweepRunner(ctx(), shape({2, 8}, converters, layers, jobs))
+            .fig6(imbalances);
     EXPECT_EQ(bits(result.reg_dense),
               bits(reference_noise(pdn::TsvConfig::dense())));
     EXPECT_EQ(bits(result.reg_sparse),
@@ -223,24 +245,6 @@ TEST(SweepParallelTest, Fig6MatchesFreshModelPerPointBitwise) {
   }
 }
 
-// The facade must be a pure re-plumbing of the free functions: same rows,
-// no behavior of its own.
-TEST(SweepRunnerTest, FacadeMatchesFreeFunctions) {
-  SweepOptions opts;
-  opts.layer_counts = {2, 8};
-  opts.execution.jobs = 2;
-  const SweepRunner runner(ctx(), opts);
-
-  const auto direct = run_fig5a(ctx(), {2, 8});
-  const auto via_facade = runner.fig5a();
-  ASSERT_EQ(via_facade.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(via_facade[i].layers, direct[i].layers);
-    EXPECT_EQ(via_facade[i].vs_few, direct[i].vs_few);
-    EXPECT_EQ(via_facade[i].reg_few, direct[i].reg_few);
-  }
-}
-
 // A fired deadline keeps the committed prefix: rows nobody computed must
 // not come back default-constructed (layers = 0, every value 0).
 TEST(SweepDeadlineTest, CancelledSweepsReturnNoRows) {
@@ -248,10 +252,13 @@ TEST(SweepDeadlineTest, CancelledSweepsReturnNoRows) {
   cancelled.deadline = Deadline::cancellable();
   cancelled.deadline.cancel();
 
-  EXPECT_TRUE(run_fig5a(ctx(), {2, 4}, cancelled).empty());
-  EXPECT_TRUE(run_fig5b(ctx(), {2, 4}, cancelled).empty());
-  EXPECT_TRUE(run_fig6(ctx(), 2, {2}, {0.0, 0.5}, cancelled).rows.empty());
-  EXPECT_TRUE(run_fig8(ctx(), 2, {2}, {0.1, 0.5}, cancelled).rows.empty());
+  SweepOptions options = shape({2, 4}, {2}, 2);
+  options.execution = cancelled;
+  const SweepRunner runner(ctx(), options);
+  EXPECT_TRUE(runner.fig5a().empty());
+  EXPECT_TRUE(runner.fig5b().empty());
+  EXPECT_TRUE(runner.fig6({0.0, 0.5}).rows.empty());
+  EXPECT_TRUE(runner.fig8({0.1, 0.5}).rows.empty());
 
   DesignSpaceOptions designs;
   designs.layers = 2;
@@ -267,22 +274,25 @@ TEST(SweepDeadlineTest, ExpiredDeadlineSolvesNothing) {
   ExecutionPolicy cancelled;
   cancelled.deadline = Deadline::cancellable();
   cancelled.deadline.cancel();
+  SweepOptions options = shape({2, 4}, {2}, 2);
+  options.execution = cancelled;
+  const SweepRunner runner(ctx(), options);
   const auto dc_solves = [] {
     return telemetry::snapshot().counter_value("pdn.dc.solves");
   };
 
   double before = dc_solves();
-  EXPECT_TRUE(run_fig5a(ctx(), {2, 4}, cancelled).empty());
+  EXPECT_TRUE(runner.fig5a().empty());
 #if VSTACK_TELEMETRY_ENABLED
   EXPECT_EQ(dc_solves() - before, 0.0) << "fig5a";
 #endif
   before = dc_solves();
-  EXPECT_TRUE(run_fig5b(ctx(), {2, 4}, cancelled).empty());
+  EXPECT_TRUE(runner.fig5b().empty());
 #if VSTACK_TELEMETRY_ENABLED
   EXPECT_EQ(dc_solves() - before, 0.0) << "fig5b";
 #endif
   before = dc_solves();
-  EXPECT_TRUE(run_fig6(ctx(), 2, {2}, {0.0, 0.5}, cancelled).rows.empty());
+  EXPECT_TRUE(runner.fig6({0.0, 0.5}).rows.empty());
 #if VSTACK_TELEMETRY_ENABLED
   EXPECT_EQ(dc_solves() - before, 0.0) << "fig6";
 #endif
@@ -294,7 +304,7 @@ TEST(SweepRunnerTest, RejectsEmptyAxesAndBadPolicy) {
   EXPECT_THROW(SweepRunner(ctx(), opts), Error);
 
   SweepOptions bad_policy;
-  bad_policy.execution.chunk = 0;
+  bad_policy.execution.jobs = 5000;  // past the 4096 pool bound
   EXPECT_THROW(SweepRunner(ctx(), bad_policy), Error);
 }
 

@@ -19,27 +19,17 @@
 namespace vstack::core {
 namespace {
 
-ExecutionPolicy policy(std::size_t jobs, std::size_t chunk = 1,
-                       bool cancel_on_error = true) {
+ExecutionPolicy policy(std::size_t jobs) {
   ExecutionPolicy p;
   p.jobs = jobs;
-  p.chunk = chunk;
-  p.cancel_on_error = cancel_on_error;
   return p;
 }
 
 TEST(ExecutionPolicyTest, ValidateRejectsBadShapes) {
-  EXPECT_THROW(TaskPool(policy(4, 0)), Error);
   EXPECT_THROW(TaskPool(policy(5000)), Error);
   EXPECT_NO_THROW(TaskPool(policy(0)));  // 0 = auto is legal
 }
 
-TEST(ExecutionPolicyTest, Helpers) {
-  EXPECT_EQ(ExecutionPolicy::serial().jobs, 1u);
-  EXPECT_EQ(ExecutionPolicy::parallel().jobs, 0u);
-  EXPECT_EQ(ExecutionPolicy::parallel(6).jobs, 6u);
-  EXPECT_EQ(policy(3).resolved_jobs(), 3u);
-}
 
 TEST(ExecutionPolicyTest, DefaultJobsHonorsEnvOverride) {
   const char* saved = std::getenv("VSTACK_JOBS");
@@ -47,7 +37,8 @@ TEST(ExecutionPolicyTest, DefaultJobsHonorsEnvOverride) {
 
   ASSERT_EQ(setenv("VSTACK_JOBS", "3", 1), 0);
   EXPECT_EQ(ExecutionPolicy::default_jobs(), 3u);
-  EXPECT_EQ(ExecutionPolicy::parallel().resolved_jobs(), 3u);
+  EXPECT_EQ(policy(0).resolved_jobs(), 3u);
+  EXPECT_EQ(policy(2).resolved_jobs(), 2u);  // explicit jobs ignore the env
 
   // Malformed values fall through to hardware concurrency (>= 1).
   ASSERT_EQ(setenv("VSTACK_JOBS", "banana", 1), 0);
@@ -111,16 +102,18 @@ TEST(TaskPoolTest, ZeroCountIsANoop) {
 }
 
 TEST(TaskPoolTest, SerialInterleavesWorkAndCommitInline) {
-  const TaskPool pool(ExecutionPolicy::serial());
+  const TaskPool pool(policy(1));
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::string> events;
   pool.run_ordered(
       3,
       [&](std::size_t i) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
-        events.push_back("w" + std::to_string(i));
+        events.push_back(std::string("w").append(std::to_string(i)));
       },
-      [&](std::size_t i) { events.push_back("c" + std::to_string(i)); });
+      [&](std::size_t i) {
+        events.push_back(std::string("c").append(std::to_string(i)));
+      });
   EXPECT_EQ(events,
             (std::vector<std::string>{"w0", "c0", "w1", "c1", "w2", "c2"}));
 }
@@ -179,30 +172,6 @@ TEST(TaskPoolTest, CancelOnErrorCommitsExactPrefixAndRethrows) {
   for (std::size_t i = 0; i < commits.size(); ++i) EXPECT_EQ(commits[i], i);
 }
 
-TEST(TaskPoolTest, NoCancelEvaluatesEverythingAndRethrowsLowestError) {
-  const std::size_t count = 12;
-  const TaskPool pool(policy(4, 1, /*cancel_on_error=*/false));
-  std::atomic<std::size_t> executed{0};
-  std::vector<std::size_t> commits;
-  try {
-    pool.run_ordered(
-        count,
-        [&](std::size_t i) {
-          executed.fetch_add(1);
-          if (i == 3) throw Error("first failure");
-          if (i == 7) throw Error("second failure");
-        },
-        [&](std::size_t i) { commits.push_back(i); });
-    FAIL() << "expected the work error to propagate";
-  } catch (const Error& e) {
-    EXPECT_STREQ(e.what(), "first failure");  // lowest index wins
-  }
-  EXPECT_EQ(executed.load(), count);  // no cancellation: every task ran
-  // Every survivor committed, in order, with the failed indices skipped.
-  const std::vector<std::size_t> expected{0, 1, 2, 4, 5, 6, 8, 9, 10, 11};
-  EXPECT_EQ(commits, expected);
-}
-
 TEST(TaskPoolTest, CommitExceptionCancelsAndRethrows) {
   const std::size_t count = 64;
   const TaskPool pool(policy(4));
@@ -221,12 +190,12 @@ TEST(TaskPoolTest, CommitExceptionCancelsAndRethrows) {
   EXPECT_EQ(commits, (std::vector<std::size_t>{0, 1}));
 }
 
-// Oversubscription stress: far more workers than cores, chunked claiming,
+// Oversubscription stress: far more workers than cores, one-index claims,
 // every index evaluated exactly once and reduced in order.  This is the
 // test the CI TSan job replays repeatedly.
-TEST(TaskPoolStressTest, OversubscribedChunkedRunReducesDeterministically) {
+TEST(TaskPoolStressTest, OversubscribedRunReducesDeterministically) {
   const std::size_t count = 500;
-  const TaskPool pool(policy(16, 3));
+  const TaskPool pool(policy(16));
   std::vector<std::size_t> results(count, 0);
   std::vector<std::atomic<int>> touched(count);
   for (auto& t : touched) t.store(0);

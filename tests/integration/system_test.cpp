@@ -68,7 +68,12 @@ TEST(SystemTest, CurrentConservationAcrossTheStack) {
 }
 
 TEST(SystemTest, SweepRowsInternallyConsistent) {
-  const auto rows5a = core::run_fig5a(ctx(), {2, 4});
+  core::SweepOptions options;
+  options.layer_counts = {2, 4};
+  options.layers = 4;
+  options.converter_counts = {4, 8};
+  const core::SweepRunner sweeps(ctx(), options);
+  const auto rows5a = sweeps.fig5a();
   ASSERT_EQ(rows5a.size(), 2u);
   for (const auto& r : rows5a) {
     EXPECT_GT(r.reg_dense, 0.0);
@@ -77,7 +82,7 @@ TEST(SystemTest, SweepRowsInternallyConsistent) {
   // Monotone degradation with layers for the regular topology.
   EXPECT_LT(rows5a[1].reg_few, rows5a[0].reg_few);
 
-  const auto fig8 = core::run_fig8(ctx(), 4, {4, 8}, {0.2, 0.8});
+  const auto fig8 = sweeps.fig8({0.2, 0.8});
   for (const auto& row : fig8.rows) {
     for (const auto& v : row.vs_efficiency) {
       if (v) {

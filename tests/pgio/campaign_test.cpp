@@ -1,7 +1,7 @@
 // Imported-grid campaigns: stress ranking, N-1 and Monte Carlo determinism
 // (including jobs=N bit-identity), core's sampler on imported grids, the
-// deadline contract shared with synthesized stacks, load-scale sweeps, and
-// the load-step ride-through transient.
+// deadline contract shared with synthesized stacks, and the load-step
+// ride-through transient.
 #include "pgio/campaign.h"
 
 #include <gtest/gtest.h>
@@ -231,17 +231,6 @@ TEST(EvaluateCase, LeakageFaultSolves) {
       {}, "leak");
   EXPECT_TRUE(kase.solved);
   EXPECT_GT(kase.max_node_deviation_fraction, 0.6);  // worse than baseline
-}
-
-TEST(SweepLoadScale, DeviationScalesLinearly) {
-  const PgNetlist n = ladder();
-  const ImportedGrid grid(n);
-  const auto sols = sweep_load_scale(grid, {0.5, 1.0, 2.0}, {});
-  ASSERT_EQ(sols.size(), 3u);
-  for (const auto& s : sols) ASSERT_TRUE(s.solve_ok) << s.diagnostic;
-  EXPECT_NEAR(sols[0].max_deviation_v, 0.3, 1e-8);
-  EXPECT_NEAR(sols[1].max_deviation_v, 0.6, 1e-8);
-  EXPECT_NEAR(sols[2].max_deviation_v, 1.2, 1e-8);
 }
 
 TEST(LoadStep, TransientRecoversToTheNewOperatingPoint) {

@@ -12,10 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "core/campaign.h"
 #include "core/study.h"
 #include "service/request.h"
 #include "shard/job.h"
+#include "shard/supervisor.h"
 
 namespace fs = std::filesystem;
 
@@ -277,6 +279,42 @@ TEST_F(ServerTest, MaxRequestsBoundsTheRun) {
   const ServerStats stats = SpoolServer(ctx(), o).run();
   EXPECT_EQ(stats.served, 1u);
   EXPECT_TRUE(fs::exists(root_ / "incoming" / "a2.req"));
+}
+
+// Both fleet front doors (`campaign --shards=N` through the supervisor,
+// `serve --shard-workers=N` through the server) bound the worker count
+// before anything starts: validate() and the server constructor only check
+// options, so no process is forked here.
+TEST(FleetBound, RejectsMoreThan256Workers) {
+  shard::SupervisorOptions fleet;
+  fleet.job_dir = "unused";
+  fleet.worker_command = {"/bin/true"};
+  fleet.shards = 256;
+  EXPECT_NO_THROW(fleet.validate());
+  fleet.shards = 257;
+  try {
+    fleet.validate();
+    ADD_FAILURE() << "257 shards accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxShards = 256"),
+              std::string::npos)
+        << e.what();
+  }
+
+  ServerOptions server;
+  server.root = "unused";
+  server.worker_command = {"/bin/true"};
+  server.shard_workers = 256;
+  EXPECT_NO_THROW(SpoolServer(ctx(), server));
+  server.shard_workers = 257;
+  try {
+    const SpoolServer rejected(ctx(), server);
+    ADD_FAILURE() << "257 shard workers accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxShards = 256"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

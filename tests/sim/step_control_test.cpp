@@ -21,12 +21,6 @@ TEST(StepControlOptionsTest, ValidateRejectsBadTolerances) {
   o = {};
   o.abs_tol = -1.0;
   EXPECT_THROW(o.validate(), Error);
-  o = {};
-  o.dt_grow = 0.9;  // must be >= 1
-  EXPECT_THROW(o.validate(), Error);
-  o = {};
-  o.dt_shrink = 1.5;  // must be < 1
-  EXPECT_THROW(o.validate(), Error);
   EXPECT_NO_THROW(default_opts().validate());
 }
 
@@ -92,12 +86,10 @@ TEST(StepControllerTest, LteRejectionShrinksWithoutAdvancingTime) {
 }
 
 TEST(StepControllerTest, GrowBackIsBoundedByDtGrowAndDtMax) {
-  StepControlOptions opts;
-  opts.dt_grow = 2.0;
-  StepController ctl(opts, 0.0, 100.0, 1.0, 8.0);
+  StepController ctl(default_opts(), 0.0, 100.0, 1.0, 8.0);
   ctl.begin_step(kInf);
   ASSERT_TRUE(ctl.finish_step(1e-12, 2));  // tiny error: wants huge growth
-  EXPECT_DOUBLE_EQ(ctl.begin_step(kInf), 2.0);  // capped at dt_grow
+  EXPECT_DOUBLE_EQ(ctl.begin_step(kInf), kDtGrow);  // capped at kDtGrow
   ASSERT_TRUE(ctl.finish_step(1e-12, 2));
   ctl.begin_step(kInf);
   ASSERT_TRUE(ctl.finish_step(1e-12, 2));
@@ -107,7 +99,7 @@ TEST(StepControllerTest, GrowBackIsBoundedByDtGrowAndDtMax) {
 }
 
 TEST(StepControllerTest, BorderlineAcceptNeverGrowsTheStep) {
-  // err just under 1: accepted, but safety * err^(-1/3) < 1 shrinks dt.
+  // err just under 1: accepted, but kDtMargin * err^(-1/3) < 1 shrinks dt.
   StepController ctl(default_opts(), 0.0, 100.0, 1.0, 8.0);
   ctl.begin_step(kInf);
   ASSERT_TRUE(ctl.finish_step(0.99, 2));
@@ -115,9 +107,7 @@ TEST(StepControllerTest, BorderlineAcceptNeverGrowsTheStep) {
 }
 
 TEST(StepControllerTest, RepeatedRejectionCollapsesWithDiagnostic) {
-  StepControlOptions opts;
-  opts.max_rejections_per_step = 4;
-  StepController ctl(opts, 0.0, 1.0, 0.1, 0.1);
+  StepController ctl(default_opts(), 0.0, 1.0, 0.1, 0.1);
   int guard = 0;
   while (!ctl.failed() && ++guard < 100) {
     ctl.begin_step(kInf);
@@ -129,7 +119,10 @@ TEST(StepControllerTest, RepeatedRejectionCollapsesWithDiagnostic) {
   EXPECT_EQ(ctl.report().status, TransientStatus::SolverFailure);
   EXPECT_FALSE(ctl.report().ok());
   EXPECT_FALSE(ctl.report().diagnostic.empty());
-  EXPECT_GT(ctl.report().solver_rejections, 0u);
+  // Halving from 0.1 stays above the 1e-8 floor, so the consecutive
+  // rejection limit is what gives up.
+  EXPECT_EQ(ctl.report().solver_rejections,
+            static_cast<std::size_t>(kMaxConsecutiveRejections) + 1);
 }
 
 TEST(StepControllerTest, StepBudgetTruncatesRun) {
@@ -199,11 +192,11 @@ TEST(ErrorNormTest, NormalizesPerEntry) {
 }
 
 TEST(GuardTest, FiniteAndBounded) {
-  EXPECT_TRUE(finite_and_bounded({1.0, -2.0, 0.0}, 10.0));
-  EXPECT_FALSE(finite_and_bounded({1.0, 100.0}, 10.0));
-  EXPECT_FALSE(finite_and_bounded({std::nan("")}, 10.0));
-  EXPECT_FALSE(finite_and_bounded({kInf}, 10.0));
-  EXPECT_TRUE(finite_and_bounded({}, 10.0));
+  EXPECT_TRUE(finite_and_bounded({1.0, -kOverflowLimit, 0.0}));
+  EXPECT_FALSE(finite_and_bounded({1.0, 2.0 * kOverflowLimit}));
+  EXPECT_FALSE(finite_and_bounded({std::nan("")}));
+  EXPECT_FALSE(finite_and_bounded({kInf}));
+  EXPECT_TRUE(finite_and_bounded({}));
 }
 
 TEST(PeriodicEventsTest, NextAfterWalksTheSchedule) {
