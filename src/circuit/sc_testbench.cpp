@@ -79,13 +79,6 @@ ScMeasurement simulate_push_pull_sc(const ScTestbenchConfig& config,
                                     const ScSimulationOptions& options) {
   VS_REQUIRE(options.steps_per_period > 0,
              "steps_per_period must be positive");
-  if (!options.adaptive) {
-    // Legacy fixed grid: switch edges only land on step boundaries when the
-    // per-period step count is a multiple of twice the interleave count.
-    VS_REQUIRE(options.steps_per_period % (2 * config.interleave_ways) == 0,
-               "fixed-step mode: steps_per_period must be a multiple of "
-               "2 * interleave_ways (adaptive mode has no such restriction)");
-  }
   VS_REQUIRE(options.settle_periods > 0 && options.measure_periods > 0,
              "period counts must be positive");
 
@@ -95,7 +88,7 @@ ScMeasurement simulate_push_pull_sc(const ScTestbenchConfig& config,
   TransientSimulator sim(tb.netlist, period);
 
   TransientOptions topts;
-  topts.mode = options.adaptive ? SteppingMode::Adaptive : SteppingMode::Fixed;
+  topts.mode = SteppingMode::Adaptive;
   topts.time_step = period / options.steps_per_period;
   topts.stop_time =
       period * (options.settle_periods + options.measure_periods);

@@ -49,13 +49,10 @@ struct ScMeasurement {
 struct ScSimulationOptions {
   int settle_periods = 60;   // discarded transient
   int measure_periods = 20;  // averaging window
-  /// Upper bound on steps per clock period (adaptive: dt_max =
-  /// period / steps_per_period; fixed: the exact uniform step, and then it
-  /// must be a multiple of 2 * interleave_ways so edges land on the grid).
+  /// Upper bound on steps per clock period: the run steps adaptively
+  /// (LTE-controlled, snapped onto every switch edge) with dt_max =
+  /// period / steps_per_period.
   int steps_per_period = 64;
-  /// Adaptive LTE-controlled stepping with exact switch-edge snapping
-  /// (default).  Disable for the legacy uniform grid.
-  bool adaptive = true;
 };
 
 /// Build the interleaved push-pull converter netlist.  Returns the netlist

@@ -89,32 +89,6 @@ Factorization robust_factor(const MnaSystem& mna,
   return out;
 }
 
-/// Clocked states with every switch fault active at `t_eval` overriding its
-/// switch.  The first time a fault takes effect it is recorded into the
-/// report's event trail (at `t_report`, the step's reporting time).
-std::vector<bool> apply_switch_faults(std::vector<bool> state,
-                                      const TransientOptions& options,
-                                      double t_eval, double t_report,
-                                      std::vector<bool>& applied,
-                                      sim::TransientReport& report) {
-  for (std::size_t i = 0; i < options.switch_faults.size(); ++i) {
-    const auto& f = options.switch_faults[i];
-    if (t_eval < f.time) continue;
-    state[f.switch_index] = f.stuck_on;
-    if (!applied[i]) {
-      applied[i] = true;
-      const std::string label =
-          f.label.empty() ? "switch " + std::to_string(f.switch_index)
-                          : f.label;
-      report.record_event(t_report, "switch fault '" + label + "': drive " +
-                                        std::string(f.stuck_on
-                                                        ? "stuck on"
-                                                        : "stuck off"));
-    }
-  }
-  return state;
-}
-
 /// Shared per-run integrator state and sample recording.
 struct Engine {
   const Netlist& netlist;
@@ -282,11 +256,6 @@ sim::PeriodicEvents TransientSimulator::switch_edges() const {
 
 TransientResult TransientSimulator::run(const TransientOptions& options) {
   VS_REQUIRE(options.stop_time > 0.0, "stop_time must be positive");
-  for (const auto& f : options.switch_faults) {
-    VS_REQUIRE(f.switch_index < netlist_.switches().size(),
-               "switch-fault index out of range");
-    VS_REQUIRE(std::isfinite(f.time), "switch-fault time must be finite");
-  }
   options.control.validate();
   if (options.mode == SteppingMode::Fixed) {
     return run_fixed(options);
@@ -321,7 +290,6 @@ TransientResult TransientSimulator::run_fixed(const TransientOptions& options) {
 
   sim::TransientReport& report = eng.result.report;
   std::vector<bool> prev_state = switch_states(0.5 * h);
-  std::vector<bool> faults_applied(options.switch_faults.size(), false);
   int backward_euler_steps = 2;  // start conservatively
 
   std::vector<double> geq(netlist_.capacitors().size());
@@ -333,9 +301,7 @@ TransientResult TransientSimulator::run_fixed(const TransientOptions& options) {
     if (!grid.admit(t_new, report)) break;
     // Evaluate switch state at the midpoint of the step so events that land
     // exactly on a boundary take effect in the step that follows them.
-    const std::vector<bool> state =
-        apply_switch_faults(switch_states(t_new - 0.5 * h), options,
-                            t_new - 0.5 * h, t_new, faults_applied, report);
+    const std::vector<bool> state = switch_states(t_new - 0.5 * h);
     if (state != prev_state) {
       backward_euler_steps = 2;
       prev_state = state;
@@ -388,14 +354,12 @@ TransientResult TransientSimulator::run_adaptive(
   Engine eng(netlist_);
   if (options.start_from_dc) eng.init_from_dc(switch_states(0.0));
 
-  // Unified timeline: clocked switch edges plus every switch-fault instant,
-  // so the controller lands a step boundary exactly on each.
+  // Clocked switch edges, so the controller lands a step boundary exactly
+  // on each.
   sim::EventSchedule schedule(options.stop_time);
   schedule.add_periodic(switch_edges());
-  for (const auto& f : options.switch_faults) schedule.add_time(f.time);
   sim::StepController ctl(options.control, 0.0, options.stop_time, dt_init,
                           dt_max);
-  std::vector<bool> faults_applied(options.switch_faults.size(), false);
 
   std::vector<double> geq(netlist_.capacitors().size());
   std::vector<double> ieq(netlist_.capacitors().size());
@@ -416,9 +380,7 @@ TransientResult TransientSimulator::run_adaptive(
     if (ctl.failed()) break;
     const bool be = be_left > 0;
 
-    const std::vector<bool> state =
-        apply_switch_faults(switch_states(t + 0.5 * dt), options, t + 0.5 * dt,
-                            t, faults_applied, ctl.report());
+    const std::vector<bool> state = switch_states(t + 0.5 * dt);
     eng.companions(be, dt, geq, ieq);
     if (!eng.solve_step(state, be, dt, geq, ieq, t, x)) {
       ctl.reject_step("unfactorizable step matrix");

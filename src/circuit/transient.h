@@ -26,7 +26,6 @@
 #include <cstddef>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "circuit/mna.h"
@@ -38,23 +37,6 @@ namespace vstack::circuit {
 enum class SteppingMode {
   Fixed,     // uniform grid at `time_step` (legacy behavior)
   Adaptive,  // LTE-controlled steps, switch edges hit exactly
-};
-
-/// A switch fault striking DURING a transient run: from `time` onward the
-/// switch's clocked drive is overridden and it is forced permanently on or
-/// off (gate-driver failure / stuck SC phase).  Adaptive mode snaps a step
-/// boundary exactly onto `time`; fixed mode applies the override under the
-/// same midpoint rule as clocked edges (a fault landing exactly on a grid
-/// point takes effect in the step that follows it).  The factorization
-/// cache keys on the full switch pattern, so pre-fault factorizations are
-/// never reused for the post-fault pattern.  DC initialization always uses
-/// the HEALTHY switch states, even for faults at time <= 0: the run starts
-/// from the nominal operating point and shows the response from t = 0+.
-struct TimedSwitchFault {
-  double time = 0.0;          // [s] when the drive fails
-  std::size_t switch_index = 0;
-  bool stuck_on = false;      // false = stuck open
-  std::string label;          // recorded in the report's event trail
 };
 
 struct TransientOptions {
@@ -69,8 +51,6 @@ struct TransientOptions {
   bool start_from_dc = false;  // solve a DC point (phase at t=0) for initial
                                // capacitor voltages instead of using v0
   SteppingMode mode = SteppingMode::Fixed;
-  /// Switch faults striking mid-run (see TimedSwitchFault).
-  std::vector<TimedSwitchFault> switch_faults;
   /// Tolerances, budgets and guard thresholds for the shared controller.
   /// Budgets and guards apply in BOTH modes.
   sim::StepControlOptions control;

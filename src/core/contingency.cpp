@@ -36,19 +36,6 @@ bool is_em_candidate(pdn::ConductorKind kind) {
   return false;
 }
 
-bool is_tsv_kind(pdn::ConductorKind kind) {
-  return kind == pdn::ConductorKind::TsvVdd ||
-         kind == pdn::ConductorKind::TsvGnd ||
-         kind == pdn::ConductorKind::RecyclingTsv;
-}
-
-double node_voltage(const pdn::PdnSolution& sol, std::size_t node,
-                    double supply_voltage) {
-  if (node == pdn::kFixedSupply) return supply_voltage;
-  if (node == pdn::kFixedGround) return 0.0;
-  return sol.node_voltages[node];
-}
-
 double sum(const std::vector<double>& v) {
   double s = 0.0;
   for (const double x : v) s += x;
@@ -138,19 +125,12 @@ class PdnTarget final : public FaultTarget {
     for (std::size_t i = 0; i < net.conductors().size(); ++i) {
       const auto& group = net.conductors()[i];
       if (group.count == 0 || !is_em_candidate(group.kind)) continue;
-      const double per_unit =
-          std::abs(
-              node_voltage(solution, group.node_a, solution.supply_voltage) -
-              node_voltage(solution, group.node_b, solution.supply_voltage)) /
-          group.unit_resistance;
-      // Current crowding: the same model the EM arrays use (solver.cpp).
-      double hot = per_unit;
-      if (is_tsv_kind(group.kind)) {
-        const std::size_t sharing =
-            std::min(group.count, config_.params.tsv_crowding_share);
-        hot = per_unit * static_cast<double>(group.count) /
-              static_cast<double>(sharing);
-      }
+      // The hottest conductor's current, as the EM arrays see it.
+      const double hot =
+          pdn::conductor_stress(group, solution.voltage(group.node_a),
+                                solution.voltage(group.node_b),
+                                config_.params)
+              .current;
       EmRiskEntry entry;
       entry.conductor_index = i;
       entry.kind = group.kind;
@@ -343,14 +323,6 @@ ContingencyEngine::ContingencyEngine(const StudyContext& ctx,
                                      pdn::StackupConfig config)
     : ctx_(ctx), config_(std::move(config)) {
   config_.validate();
-}
-
-std::vector<EmRiskEntry> ContingencyEngine::rank_by_em_risk(
-    const std::vector<double>& layer_activities,
-    const ContingencyOptions& options) const {
-  return PdnTarget(ctx_, config_, layer_activities, options)
-      .baseline()
-      ->report.ranking;
 }
 
 ContingencyCase ContingencyEngine::evaluate_case(

@@ -204,12 +204,6 @@ class ContingencyEngine {
 
   const pdn::StackupConfig& config() const { return config_; }
 
-  /// Rank every candidate conductor group (C4 pads, TSVs, through-vias) by
-  /// EM failure probability under the given per-layer activities.
-  std::vector<EmRiskEntry> rank_by_em_risk(
-      const std::vector<double>& layer_activities,
-      const ContingencyOptions& options = {}) const;
-
   /// Deterministic N-1 sweep: open each candidate group in turn.
   ContingencyReport run_n_minus_1(
       const std::vector<double>& layer_activities,

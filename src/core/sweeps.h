@@ -98,7 +98,7 @@ struct SweepOptions {
 /// borrowing rule as CampaignRunner).
 class SweepRunner {
  public:
-  explicit SweepRunner(const StudyContext& ctx, SweepOptions options = {});
+  SweepRunner(const StudyContext& ctx, SweepOptions options);
 
   const SweepOptions& options() const { return options_; }
 

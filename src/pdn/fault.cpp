@@ -132,7 +132,7 @@ IslandReport find_floating_islands(const PdnNetwork& network) {
   UnionFind uf(n + 1);
 
   const auto slot = [&](std::size_t node) {
-    return (node == kFixedSupply || node == kFixedGround) ? anchor : node;
+    return FixedRails::is_fixed(node) ? anchor : node;
   };
 
   for (const auto& group : network.conductors()) {

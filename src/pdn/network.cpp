@@ -36,19 +36,52 @@ std::size_t PdnNetwork::gnd_node(std::size_t layer, std::size_t cell) const {
   return 2 + (layer * 2 + 1) * config_.grid_nx * config_.grid_ny + cell;
 }
 
+GridNodeLocation PdnNetwork::locate(std::size_t node) const {
+  VS_REQUIRE(node >= 2 && node < node_count_, "not a grid node");
+  // Grid nodes start at index 2, ordered (layer, net, cell).
+  const std::size_t cells = config_.grid_nx * config_.grid_ny;
+  const std::size_t rel = node - 2;
+  return {rel / (2 * cells), (rel / cells) % 2 == 0, rel % cells};
+}
+
+LayerRails PdnNetwork::nominal_rails(std::size_t layer) const {
+  const double gnd = config_.is_voltage_stacked()
+                         ? static_cast<double>(layer) * config_.vdd
+                         : 0.0;
+  return {gnd, gnd + config_.vdd};
+}
+
 double PdnNetwork::nominal_potential(std::size_t node) const {
-  if (node == kFixedSupply) return config_.supply_voltage();
-  if (node == kFixedGround) return 0.0;
+  if (FixedRails::is_fixed(node)) {
+    return FixedRails{config_.supply_voltage()}.fixed_potential(node);
+  }
   VS_REQUIRE(node < node_count_, "node out of range");
   if (node == package_vdd_node()) return config_.supply_voltage();
   if (node == package_gnd_node()) return 0.0;
+  const GridNodeLocation at = locate(node);
+  const LayerRails rails = nominal_rails(at.layer);
+  return at.vdd_net ? rails.vdd : rails.gnd;
+}
+
+double PdnNetwork::max_node_deviation_fraction(
+    const std::vector<double>& v, std::vector<double>* per_layer) const {
+  VS_REQUIRE(v.size() >= node_count_, "voltage vector shorter than the grid");
   const std::size_t cells = config_.grid_nx * config_.grid_ny;
-  const std::size_t rel = node - 2;
-  const std::size_t layer = rel / (2 * cells);
-  const bool is_vdd = (rel / cells) % 2 == 0;
-  if (!config_.is_voltage_stacked()) return is_vdd ? config_.vdd : 0.0;
-  const double rail_base = static_cast<double>(layer) * config_.vdd;
-  return is_vdd ? rail_base + config_.vdd : rail_base;
+  if (per_layer != nullptr) per_layer->assign(config_.layer_count, 0.0);
+  double worst = 0.0;
+  for (std::size_t l = 0; l < config_.layer_count; ++l) {
+    const LayerRails rails = nominal_rails(l);
+    const double* vdd = v.data() + vdd_node(l, 0);
+    const double* gnd = v.data() + gnd_node(l, 0);
+    double layer_worst = 0.0;
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+      layer_worst = std::max(layer_worst, std::abs(vdd[cell] - rails.vdd));
+      layer_worst = std::max(layer_worst, std::abs(gnd[cell] - rails.gnd));
+    }
+    if (per_layer != nullptr) (*per_layer)[l] = layer_worst / config_.vdd;
+    worst = std::max(worst, layer_worst);
+  }
+  return worst / config_.vdd;
 }
 
 void PdnNetwork::remove_conductor_units(std::size_t index, std::size_t units) {

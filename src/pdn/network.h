@@ -8,6 +8,8 @@
 // recycling TSVs), rail N is fed by through-vias at N * Vdd.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -40,6 +42,11 @@ struct ConductorGroup {
   double unit_resistance = 0.0;
   std::size_t count = 1;
   std::size_t em_segments = 1;
+
+  /// Lumped conductance of the group [S]: count / unit_resistance.
+  double conductance() const {
+    return static_cast<double>(count) / unit_resistance;
+  }
 };
 
 /// Ideal current-source load drawing `current` from a Vdd node into the
@@ -67,6 +74,130 @@ struct ConverterInstance {
 inline constexpr std::size_t kFixedSupply = static_cast<std::size_t>(-1);
 inline constexpr std::size_t kFixedGround = static_cast<std::size_t>(-2);
 
+/// The synthesized network's fixed nodes: kFixedSupply at the stack's
+/// supply voltage, kFixedGround at 0.  stamp_conductance accepts any node
+/// set with these two members (pgio::ImportedGrid is the other).
+struct FixedRails {
+  double supply_voltage = 0.0;
+
+  static bool is_fixed(std::size_t node) {
+    return node == kFixedSupply || node == kFixedGround;
+  }
+  double fixed_potential(std::size_t node) const {
+    return node == kFixedSupply ? supply_voltage : 0.0;
+  }
+};
+
+// --- Stamps: one definition of each rule the DC system, the transient step
+// system and the imported grid share.  A stamp emits matrix entries through
+// `matrix.add(i, j, v)` (a la::CooBuilder, or a caller's triplet list) and
+// adds its right-hand-side terms into `*rhs`, which may be null.  The CSR
+// merge sums duplicate entries in emission order, so the order each stamp
+// documents is part of its contract: output bits depend on it.
+
+/// Conductance g [S] between nodes a and b, a fixed end folded into the
+/// right-hand side (Dirichlet elimination).  `rails` says which nodes are
+/// fixed and at what potential (FixedRails, or any type with is_fixed(i)
+/// and fixed_potential(i)).  Emits, in order:
+///   both ends unknown: (a,a,+g) (b,b,+g) (a,b,-g) (b,a,-g);
+///   one end fixed:     (free,free,+g), then rhs[free] += g * V_fixed;
+///   both ends fixed:   nothing.
+template <class Matrix, class Rails>
+void stamp_conductance(Matrix&& matrix, std::vector<double>* rhs,
+                       std::size_t a, std::size_t b, double g,
+                       const Rails& rails) {
+  const bool a_fixed = rails.is_fixed(a);
+  const bool b_fixed = rails.is_fixed(b);
+  if (a_fixed && b_fixed) return;
+  if (!a_fixed && !b_fixed) {
+    matrix.add(a, a, g);
+    matrix.add(b, b, g);
+    matrix.add(a, b, -g);
+    matrix.add(b, a, -g);
+    return;
+  }
+  const std::size_t free_node = a_fixed ? b : a;
+  matrix.add(free_node, free_node, g);
+  if (rhs != nullptr) {
+    (*rhs)[free_node] += g * rails.fixed_potential(a_fixed ? a : b);
+  }
+}
+
+/// Converter `conv` at series conductance g = 1/R [S], under `config`'s
+/// ConverterReference.  Emits, in order:
+///   AdjacentRails: the symmetric PSD block (1/R) v v^T, v = (1/2, 1/2, -1)
+///     on (top, bottom, out), row by row: (top,top) (top,bottom) (top,out)
+///     (bottom,top) ... (out,out);
+///   IdealRails: (out,out,+g), then rhs[out] += g * level * vdd -- a
+///     resistor R from the output to its nominal rail.
+template <class Matrix>
+void stamp_converter(Matrix&& matrix, std::vector<double>* rhs,
+                     const ConverterInstance& conv, double g,
+                     const StackupConfig& config) {
+  if (config.converter_reference == ConverterReference::IdealRails) {
+    matrix.add(conv.out, conv.out, g);
+    if (rhs != nullptr) {
+      (*rhs)[conv.out] += g * static_cast<double>(conv.level) * config.vdd;
+    }
+    return;
+  }
+  const std::size_t idx[3] = {conv.top, conv.bottom, conv.out};
+  const double v[3] = {0.5, 0.5, -1.0};
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) matrix.add(idx[i], idx[j], g * v[i] * v[j]);
+  }
+}
+
+/// The potential converter `conv` regulates its output toward [V], as
+/// stamp_converter models it: level * vdd under IdealRails, the midpoint of
+/// its input rails' potentials under AdjacentRails.
+inline double converter_reference(const ConverterInstance& conv,
+                                  const StackupConfig& config, double v_top,
+                                  double v_bottom) {
+  return config.converter_reference == ConverterReference::IdealRails
+             ? static_cast<double>(conv.level) * config.vdd
+             : 0.5 * (v_top + v_bottom);
+}
+
+/// EM stress of the conductors of `group` at terminal potentials v_a and
+/// v_b [V]: `carriers` of them carry `current` [A] each, the rest none.
+struct ConductorStress {
+  double current = 0.0;
+  std::size_t carriers = 0;
+};
+
+/// Every conductor of a group carries |v_a - v_b| / unit_resistance.  In a
+/// TSV group (TsvVdd, TsvGnd, RecyclingTsv) only min(count,
+/// tsv_crowding_share) of them share the group's current (current crowding
+/// at the entry point; see PdnParameters), so each of those carries
+/// count / carriers times as much.
+inline ConductorStress conductor_stress(const ConductorGroup& group,
+                                        double v_a, double v_b,
+                                        const PdnParameters& params) {
+  const double unit = std::abs(v_a - v_b) / group.unit_resistance;
+  const bool tsv = group.kind == ConductorKind::TsvVdd ||
+                   group.kind == ConductorKind::TsvGnd ||
+                   group.kind == ConductorKind::RecyclingTsv;
+  if (!tsv) return {unit, group.count};
+  const std::size_t sharing = std::min(group.count, params.tsv_crowding_share);
+  return {unit * static_cast<double>(group.count) /
+              static_cast<double>(sharing),
+          sharing};
+}
+
+/// Where a grid node sits: its layer, its net and its cell.
+struct GridNodeLocation {
+  std::size_t layer = 0;
+  bool vdd_net = false;
+  std::size_t cell = 0;
+};
+
+/// Nominal potentials of one layer's two nets [V].
+struct LayerRails {
+  double gnd = 0.0;
+  double vdd = 0.0;
+};
+
 class PdnNetwork {
  public:
   PdnNetwork(const StackupConfig& config,
@@ -82,6 +213,8 @@ class PdnNetwork {
   /// Grid node indices; layer in [0, N), cell in [0, nx*ny).
   std::size_t vdd_node(std::size_t layer, std::size_t cell) const;
   std::size_t gnd_node(std::size_t layer, std::size_t cell) const;
+  /// The inverse of vdd_node/gnd_node for a grid node index.
+  GridNodeLocation locate(std::size_t node) const;
 
   const std::vector<ConductorGroup>& conductors() const { return conductors_; }
   const std::vector<ConverterInstance>& converters() const {
@@ -94,11 +227,23 @@ class PdnNetwork {
   /// this and rebuild on mismatch.
   std::size_t topology_epoch() const { return topology_epoch_; }
 
-  /// Nominal (unloaded) potential of a node [V].  Accepts grid and package
-  /// node indices plus the kFixedSupply/kFixedGround sentinels.  Regular
+  /// Nominal (unloaded) potentials of layer `layer`'s nets [V].  Regular
   /// topology: Vdd nets at vdd, Gnd nets at 0.  Stacked: layer l's Gnd net
   /// at l*vdd, its Vdd net at (l+1)*vdd.
+  LayerRails nominal_rails(std::size_t layer) const;
+
+  /// Nominal potential of a node [V]: nominal_rails() for grid nodes, and
+  /// also the package nodes and the kFixedSupply/kFixedGround sentinels.
   double nominal_potential(std::size_t node) const;
+
+  /// VoltSpot's voltage-noise metric: the worst |v[node] - nominal rail|
+  /// over the grid nodes, as a fraction of vdd.  `v` is indexed by node and
+  /// may run past node_count() (the transient's extra unknowns are
+  /// ignored).  When `per_layer` is non-null it receives each layer's own
+  /// worst (size layer_count).
+  double max_node_deviation_fraction(
+      const std::vector<double>& v,
+      std::vector<double>* per_layer = nullptr) const;
 
   // --- Fault-injection mutators (see pdn/fault.h) --------------------------
   // All bump the topology epoch.  Conductor indices refer to conductors();

@@ -270,7 +270,7 @@ RideThroughResult simulate_ride_through(
     // 2. Sensing plane: the supervisor samples the live solution at every
     // elapsed sense tick; its actions mutate the network / loads.
     while (t >= next_sense - event_tol) {
-      ws.worst_noise_of(x, &layer_droop);
+      net.max_node_deviation_fraction(x, &layer_droop);
       for (std::size_t l = 0; l < layer_down.size(); ++l) {
         if (layer_down[l]) layer_droop[l] = 0.0;  // off rails are not sensed
       }
@@ -300,12 +300,12 @@ RideThroughResult simulate_ride_through(
       live_loads, x, boundary,
       [&](double t, const la::Vector& sol) {
         result.time.push_back(t);
-        result.worst_noise.push_back(ws.worst_noise_of(sol));
+        result.worst_noise.push_back(net.max_node_deviation_fraction(sol));
         result.supply_current.push_back(ws.supply_inductor_current());
       });
 
   // Final droop over the rails still alive.
-  ws.worst_noise_of(x, &layer_droop);
+  net.max_node_deviation_fraction(x, &layer_droop);
   double final_droop = 0.0;
   for (std::size_t l = 0; l < layer_droop.size(); ++l) {
     if (!layer_down[l]) final_droop = std::max(final_droop, layer_droop[l]);

@@ -11,14 +11,6 @@ namespace vstack::pdn {
 
 namespace {
 
-bool is_fixed(std::size_t node) {
-  return node == kFixedSupply || node == kFixedGround;
-}
-
-double fixed_potential(std::size_t node, double supply_voltage) {
-  return node == kFixedSupply ? supply_voltage : 0.0;
-}
-
 /// Weak pin [S] grounding each floating-island node to its nominal rail
 /// potential.  Strong enough to keep the matrix comfortably nonsingular;
 /// weak enough that any load current strayed onto an island produces a
@@ -83,8 +75,6 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
   const auto& cfg = config();
   const std::size_t n = network_.node_count();
   const double v_supply = cfg.supply_voltage();
-  const bool ideal_reference =
-      cfg.converter_reference == ConverterReference::IdealRails;
   VS_REQUIRE(converter_r_series.size() == network_.converters().size(),
              "converter resistance vector size mismatch");
 
@@ -94,46 +84,20 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
     la::CooBuilder builder(n);
     la::Vector base_rhs(n, 0.0);
 
+    const FixedRails rails{v_supply};
     for (const auto& group : network_.conductors()) {
       if (group.count == 0) continue;  // fully opened by a fault
-      const double g =
-          static_cast<double>(group.count) / group.unit_resistance;
-      const bool a_fixed = is_fixed(group.node_a);
-      const bool b_fixed = is_fixed(group.node_b);
-      VS_REQUIRE(!(a_fixed && b_fixed), "conductor between two fixed rails");
-      if (!a_fixed && !b_fixed) {
-        builder.add(group.node_a, group.node_a, g);
-        builder.add(group.node_b, group.node_b, g);
-        builder.add(group.node_a, group.node_b, -g);
-        builder.add(group.node_b, group.node_a, -g);
-      } else {
-        const std::size_t free_node = a_fixed ? group.node_b : group.node_a;
-        const std::size_t fixed_node = a_fixed ? group.node_a : group.node_b;
-        builder.add(free_node, free_node, g);
-        base_rhs[free_node] += g * fixed_potential(fixed_node, v_supply);
-      }
+      VS_REQUIRE(
+          !(rails.is_fixed(group.node_a) && rails.is_fixed(group.node_b)),
+          "conductor between two fixed rails");
+      stamp_conductance(builder, &base_rhs, group.node_a, group.node_b,
+                        group.conductance(), rails);
     }
-
     for (std::size_t c = 0; c < network_.converters().size(); ++c) {
       const auto& conv = network_.converters()[c];
       if (!conv.enabled) continue;  // stuck-off fault
-      const double g = 1.0 / converter_r_series[c];
-      if (ideal_reference) {
-        // Stiff reference: resistor R_SERIES from the output rail to its
-        // nominal potential level * vdd.
-        builder.add(conv.out, conv.out, g);
-        base_rhs[conv.out] += g * static_cast<double>(conv.level) * cfg.vdd;
-      } else {
-        // Coupled midpoint: (1/R) v v^T with v = (1/2, 1/2, -1) on
-        // (top, bottom, out).
-        const std::size_t idx[3] = {conv.top, conv.bottom, conv.out};
-        const double v[3] = {0.5, 0.5, -1.0};
-        for (int i = 0; i < 3; ++i) {
-          for (int j = 0; j < 3; ++j) {
-            builder.add(idx[i], idx[j], g * v[i] * v[j]);
-          }
-        }
-      }
+      stamp_converter(builder, &base_rhs, conv, 1.0 / converter_r_series[c],
+                      cfg);
     }
 
     auto cache = std::make_unique<CachedSystem>();
@@ -212,11 +176,6 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
   }
   last_solution_ = sol.node_voltages;
 
-  const auto voltage = [&](std::size_t node) {
-    return is_fixed(node) ? fixed_potential(node, v_supply)
-                          : sol.node_voltages[node];
-  };
-
   // Per-layer droop maps and extrema.
   const std::size_t cells = cfg.grid_nx * cfg.grid_ny;
   sol.layer_droop.resize(cfg.layer_count);
@@ -227,8 +186,8 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
     map.ny = cfg.grid_ny;
     map.values.assign(cells, 0.0);
     for (std::size_t cell = 0; cell < cells; ++cell) {
-      const double span = voltage(network_.vdd_node(l, cell)) -
-                          voltage(network_.gnd_node(l, cell));
+      const double span = sol.voltage(network_.vdd_node(l, cell)) -
+                          sol.voltage(network_.gnd_node(l, cell));
       const double droop = cfg.vdd - span;
       map.values[cell] = droop;
       worst_droop = std::max(worst_droop, droop);
@@ -239,58 +198,31 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
   sol.max_ir_drop_fraction = sol.max_ir_drop / cfg.vdd;
   sol.max_overshoot_fraction = std::max(worst_overshoot, 0.0) / cfg.vdd;
 
-  // VoltSpot's voltage-noise metric: worst deviation of any grid node from
-  // its nominal rail potential.  Nominal rails: regular topology has every
-  // Vdd net at vdd and every Gnd net at 0; the stack has layer l's Gnd net
-  // at l * vdd and its Vdd net at (l+1) * vdd.
-  double worst_deviation = 0.0;
-  for (std::size_t l = 0; l < cfg.layer_count; ++l) {
-    const double nominal_gnd =
-        cfg.is_voltage_stacked() ? static_cast<double>(l) * cfg.vdd : 0.0;
-    const double nominal_vdd = nominal_gnd + cfg.vdd;
-    for (std::size_t cell = 0; cell < cells; ++cell) {
-      worst_deviation = std::max(
-          worst_deviation,
-          std::abs(voltage(network_.vdd_node(l, cell)) - nominal_vdd));
-      worst_deviation = std::max(
-          worst_deviation,
-          std::abs(voltage(network_.gnd_node(l, cell)) - nominal_gnd));
-    }
-  }
-  sol.max_node_deviation_fraction = worst_deviation / cfg.vdd;
+  sol.max_node_deviation_fraction =
+      network_.max_node_deviation_fraction(sol.node_voltages);
 
-  // Per-conductor currents for the EM study.
-  const std::size_t grid_cells = cfg.grid_nx * cfg.grid_ny;
-  const auto layer_of = [&](std::size_t node) -> unsigned {
-    // Grid nodes start at index 2, ordered (layer, net, cell).
-    return static_cast<unsigned>((node - 2) / (2 * grid_cells));
-  };
+  // Per-conductor currents for the EM study.  A TSV group's zero-current
+  // conductors (current crowding) stay in the array.
   for (const auto& group : network_.conductors()) {
     if (group.count == 0) continue;  // fully opened by a fault
-    const double per_unit = std::abs(
-        (voltage(group.node_a) - voltage(group.node_b)) /
-        group.unit_resistance);
+    const ConductorStress stress =
+        conductor_stress(group, sol.voltage(group.node_a),
+                         sol.voltage(group.node_b), cfg.params);
     switch (group.kind) {
       case ConductorKind::C4Vdd:
       case ConductorKind::C4Gnd:
         for (std::size_t k = 0; k < group.count; ++k) {
-          sol.c4_pad_currents.push_back(per_unit);
+          sol.c4_pad_currents.push_back(stress.current);
         }
         break;
       case ConductorKind::TsvVdd:
       case ConductorKind::TsvGnd:
       case ConductorKind::RecyclingTsv: {
-        // Current crowding within the lumped cell: only ~tsv_crowding_share
-        // TSVs effectively share the group's current; the rest are nearly
-        // unstressed (they remain in the array as zero-current elements).
-        const std::size_t sharing =
-            std::min(group.count, cfg.params.tsv_crowding_share);
-        const double hot_current =
-            per_unit * static_cast<double>(group.count) /
-            static_cast<double>(sharing);
-        const unsigned interface = layer_of(group.node_a);
+        const auto interface =
+            static_cast<unsigned>(network_.locate(group.node_a).layer);
         for (std::size_t k = 0; k < group.count; ++k) {
-          sol.tsv_currents.push_back(k < sharing ? hot_current : 0.0);
+          sol.tsv_currents.push_back(k < stress.carriers ? stress.current
+                                                         : 0.0);
           sol.tsv_interface_of.push_back(interface);
         }
         break;
@@ -299,9 +231,9 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
         // One bump plus (layer_count - 1) TSV segments per via, all at the
         // via's current; segment s crosses interface s.
         for (std::size_t k = 0; k < group.count; ++k) {
-          sol.c4_pad_currents.push_back(per_unit);
+          sol.c4_pad_currents.push_back(stress.current);
           for (std::size_t s = 0; s < group.em_segments; ++s) {
-            sol.tsv_currents.push_back(per_unit);
+            sol.tsv_currents.push_back(stress.current);
             sol.tsv_interface_of.push_back(static_cast<unsigned>(s));
           }
         }
@@ -313,13 +245,12 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
         break;  // not part of the pad/TSV EM arrays
     }
     if (group.kind == ConductorKind::PackageVdd) {
-      sol.supply_current = per_unit;
+      sol.supply_current = stress.current;
     }
   }
   sol.supply_power = sol.supply_current * v_supply;
 
-  // Converter currents: j = (reference - V_out) / R, where the reference is
-  // either the nominal rail potential or the solved adjacent-rail midpoint.
+  // Converter currents: j = (reference - V_out) / R.
   sol.converter_currents.reserve(network_.converters().size());
   for (std::size_t c = 0; c < network_.converters().size(); ++c) {
     const auto& conv = network_.converters()[c];
@@ -327,11 +258,10 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
       sol.converter_currents.push_back(0.0);  // stuck-off phase
       continue;
     }
-    const double reference =
-        ideal_reference
-            ? static_cast<double>(conv.level) * cfg.vdd
-            : 0.5 * (voltage(conv.top) + voltage(conv.bottom));
-    const double j = (reference - voltage(conv.out)) / converter_r_series[c];
+    const double reference = converter_reference(
+        conv, cfg, sol.voltage(conv.top), sol.voltage(conv.bottom));
+    const double j =
+        (reference - sol.voltage(conv.out)) / converter_r_series[c];
     sol.converter_currents.push_back(j);
     sol.max_converter_current =
         std::max(sol.max_converter_current, std::abs(j));
@@ -340,8 +270,8 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
                            cfg.converter.max_load_current + 1e-12;
 
   for (const auto& load : loads) {
-    sol.load_power +=
-        load.current * (voltage(load.vdd_node) - voltage(load.gnd_node));
+    sol.load_power += load.current * (sol.voltage(load.vdd_node) -
+                                      sol.voltage(load.gnd_node));
   }
   sol.resistive_efficiency =
       sol.supply_power > 0.0 ? sol.load_power / sol.supply_power : 0.0;

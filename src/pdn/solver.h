@@ -25,6 +25,14 @@ struct PdnSolution {
   la::Vector node_voltages;
   double supply_voltage = 0.0;
 
+  /// Potential of `node` [V]: its solved value, or a fixed rail's
+  /// potential for the kFixedSupply/kFixedGround sentinels.
+  double voltage(std::size_t node) const {
+    const FixedRails rails{supply_voltage};
+    return rails.is_fixed(node) ? rails.fixed_potential(node)
+                                : node_voltages[node];
+  }
+
   /// Per-layer droop maps: nominal per-layer Vdd minus the local supply
   /// span (positive = droop) [V].
   std::vector<floorplan::GridMap> layer_droop;

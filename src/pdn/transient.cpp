@@ -55,7 +55,7 @@ PdnTransientResult simulate_load_step(
   la::Vector x(ws.n(), 0.0);
   ws.init_states(dc, x);
 
-  result.initial_noise = ws.worst_noise_of(x);
+  result.initial_noise = net.max_node_deviation_fraction(x);
   result.peak_noise = result.initial_noise;
   result.peak_time = 0.0;
 
@@ -70,7 +70,7 @@ PdnTransientResult simulate_load_step(
       &load_step);
 
   const auto record_sample = [&](double t, const la::Vector& sol) {
-    const double noise = ws.worst_noise_of(sol);
+    const double noise = net.max_node_deviation_fraction(sol);
     result.time.push_back(t);
     result.worst_noise.push_back(noise);
     result.supply_current.push_back(ws.supply_inductor_current());

@@ -20,9 +20,18 @@ const telemetry::Counter t_cache_epoch_invalidations(
     "pdn.step_solver.cache.epoch_invalidations");
 const telemetry::Counter t_rebuilds("pdn.topology.rebuilds");
 
-bool is_fixed(std::size_t node) {
-  return node == kFixedSupply || node == kFixedGround;
-}
+/// Appends each stamp entry to a triplet list (a pdn/network.h stamp sink).
+struct TripSink {
+  std::vector<Trip>& trips;
+  void add(std::size_t i, std::size_t j, double v) {
+    trips.push_back({i, j, v});
+  }
+};
+
+/// Drops each stamp entry: the right-hand-side half of a stamp.
+struct NoEntries {
+  void add(std::size_t, std::size_t, double) const {}
+};
 
 std::uint64_t bits_of(double x) {
   std::uint64_t b = 0;
@@ -151,66 +160,45 @@ void TransientWorkspace::rebuild_topology() {
   sys_.cap_part.clear();
   sys_.ind_part.clear();
 
+  // The static part has no right-hand side: once the package resistors go
+  // through the inductor mid nodes, the only fixed ends left are ground
+  // (leakage faults), and build_rhs() folds the converter references in.
+  const FixedRails rails{cfg.supply_voltage()};
+  TripSink static_part{sys_.static_part};
   for (const auto& group : net_.conductors()) {
     if (group.count == 0) continue;  // fully opened by a fault
-    const double g = static_cast<double>(group.count) / group.unit_resistance;
     std::size_t a = group.node_a;
     std::size_t b = group.node_b;
     // Reroute package resistors through the inductor mid nodes.
     if (group.kind == ConductorKind::PackageVdd) a = lvdd_mid_;
     if (group.kind == ConductorKind::PackageGnd) b = lgnd_mid_;
-
-    const bool a_fixed = is_fixed(a);
-    const bool b_fixed = is_fixed(b);
-    VS_REQUIRE(!(a_fixed && b_fixed), "conductor between two fixed rails");
-    if (!a_fixed && !b_fixed) {
-      sys_.static_part.push_back({a, a, g});
-      sys_.static_part.push_back({b, b, g});
-      sys_.static_part.push_back({a, b, -g});
-      sys_.static_part.push_back({b, a, -g});
-    } else {
-      const std::size_t free_node = a_fixed ? b : a;
-      sys_.static_part.push_back({free_node, free_node, g});
-      // No static fixed-rail injections remain: both package paths go
-      // through the inductor companions below.
-    }
+    VS_REQUIRE(!(rails.is_fixed(a) && rails.is_fixed(b)),
+               "conductor between two fixed rails");
+    stamp_conductance(static_part, nullptr, a, b, group.conductance(), rails);
   }
 
   // Converters (quasi-static: regulation bandwidth assumed above the step).
-  const bool ideal_reference =
-      cfg.converter_reference == ConverterReference::IdealRails;
   for (const auto& conv : net_.converters()) {
     if (!conv.enabled) continue;  // stuck-off fault
-    const double g = 1.0 / conv.r_series;
-    if (ideal_reference) {
-      sys_.static_part.push_back({conv.out, conv.out, g});
-    } else {
-      const std::size_t idx[3] = {conv.top, conv.bottom, conv.out};
-      const double v[3] = {0.5, 0.5, -1.0};
-      for (int i = 0; i < 3; ++i) {
-        for (int j = 0; j < 3; ++j) {
-          sys_.static_part.push_back({idx[i], idx[j], g * v[i] * v[j]});
-        }
-      }
-    }
+    stamp_converter(static_part, nullptr, conv, 1.0 / conv.r_series, cfg);
   }
 
-  // Decap companions: one per (layer, cell); density may vary per layer.
+  // Decap companions: one per (layer, cell), the two-terminal stamp of the
+  // raw capacitance; density may vary per layer.
+  TripSink cap_part{sys_.cap_part};
   for (std::size_t l = 0; l < layer_count_; ++l) {
     for (std::size_t cell = 0; cell < cells_; ++cell) {
-      const std::size_t a = net_.vdd_node(l, cell);
-      const std::size_t b = net_.gnd_node(l, cell);
-      sys_.cap_part.push_back({a, a, layer_cap_[l]});
-      sys_.cap_part.push_back({b, b, layer_cap_[l]});
-      sys_.cap_part.push_back({a, b, -layer_cap_[l]});
-      sys_.cap_part.push_back({b, a, -layer_cap_[l]});
+      stamp_conductance(cap_part, nullptr, net_.vdd_node(l, cell),
+                        net_.gnd_node(l, cell), layer_cap_[l], rails);
     }
   }
 
-  // Inductor companions: supply -> lvdd_mid, lgnd_mid -> ground.
+  // Inductor companions: supply -> lvdd_mid, lgnd_mid -> ground (build_rhs()
+  // folds the supply side in at each step's companion conductance).
   const double inv_l = 1.0 / options_.package_inductance;
-  sys_.ind_part.push_back({lvdd_mid_, lvdd_mid_, inv_l});
-  sys_.ind_part.push_back({lgnd_mid_, lgnd_mid_, inv_l});
+  TripSink ind_part{sys_.ind_part};
+  stamp_conductance(ind_part, nullptr, kFixedSupply, lvdd_mid_, inv_l, rails);
+  stamp_conductance(ind_part, nullptr, lgnd_mid_, kFixedGround, inv_l, rails);
 
   // The stamp positions are the same for every step size: sort and merge
   // them once here, and replay that per (dt, scheme) in assemble().
@@ -248,8 +236,6 @@ void TransientWorkspace::init_states(const PdnSolution& dc, la::Vector& x) {
 void TransientWorkspace::build_rhs(const std::vector<LoadInjection>& loads,
                                    double h, bool be, la::Vector& rhs) const {
   const StackupConfig& cfg = net_.config();
-  const bool ideal_reference =
-      cfg.converter_reference == ConverterReference::IdealRails;
   const double s = be ? 1.0 : 2.0;
   const double g_l = h / (s * options_.package_inductance);
   std::fill(rhs.begin(), rhs.end(), 0.0);
@@ -257,12 +243,9 @@ void TransientWorkspace::build_rhs(const std::vector<LoadInjection>& loads,
     rhs[load.vdd_node] -= load.current;
     rhs[load.gnd_node] += load.current;
   }
-  if (ideal_reference) {
-    for (const auto& conv : net_.converters()) {
-      if (!conv.enabled) continue;
-      rhs[conv.out] += (1.0 / conv.r_series) *
-                       static_cast<double>(conv.level) * cfg.vdd;
-    }
+  for (const auto& conv : net_.converters()) {
+    if (!conv.enabled) continue;
+    stamp_converter(NoEntries{}, &rhs, conv, 1.0 / conv.r_series, cfg);
   }
   // Capacitor histories.
   for (std::size_t l = 0; l < layer_count_; ++l) {
@@ -303,36 +286,6 @@ void TransientWorkspace::commit_states(const la::Vector& sol, double h,
   const double j_lgnd = lgnd_i_ + (be ? 0.0 : g_l * lgnd_v_);
   lgnd_v_ = sol[lgnd_mid_];  // mid node minus ground
   lgnd_i_ = j_lgnd + g_l * lgnd_v_;
-}
-
-double TransientWorkspace::nominal(std::size_t layer, bool vdd_net) const {
-  const StackupConfig& cfg = net_.config();
-  const double gnd = cfg.is_voltage_stacked()
-                         ? static_cast<double>(layer) * cfg.vdd
-                         : 0.0;
-  return vdd_net ? gnd + cfg.vdd : gnd;
-}
-
-double TransientWorkspace::worst_noise_of(const la::Vector& sol,
-                                          std::vector<double>* per_layer)
-    const {
-  const double vdd = net_.config().vdd;
-  if (per_layer != nullptr) per_layer->assign(layer_count_, 0.0);
-  double worst = 0.0;
-  for (std::size_t l = 0; l < layer_count_; ++l) {
-    double layer_worst = 0.0;
-    for (std::size_t cell = 0; cell < cells_; ++cell) {
-      layer_worst = std::max(layer_worst,
-                             std::abs(sol[net_.vdd_node(l, cell)] -
-                                      nominal(l, true)));
-      layer_worst = std::max(layer_worst,
-                             std::abs(sol[net_.gnd_node(l, cell)] -
-                                      nominal(l, false)));
-    }
-    if (per_layer != nullptr) (*per_layer)[l] = layer_worst / vdd;
-    worst = std::max(worst, layer_worst);
-  }
-  return worst / vdd;
 }
 
 FaultEventApplier::FaultEventApplier(const std::vector<TimedFaultEvent>& events,

@@ -163,11 +163,6 @@ class TransientWorkspace {
   /// Advance companion states to the accepted solution `sol`.
   void commit_states(const la::Vector& sol, double h, bool be);
 
-  /// Max node deviation from nominal as a fraction of vdd; when `per_layer`
-  /// is non-null it receives each layer's own maximum (size layer_count).
-  double worst_noise_of(const la::Vector& sol,
-                        std::vector<double>* per_layer = nullptr) const;
-
   /// Current through the supply-side package inductor [A].
   double supply_inductor_current() const { return lvdd_i_; }
 
@@ -176,8 +171,6 @@ class TransientWorkspace {
   const std::vector<double>& cap_voltages() const { return cap_v_; }
 
  private:
-  double nominal(std::size_t layer, bool vdd_net) const;
-
   const PdnNetwork& net_;
   const PdnTransientOptions& options_;
   SplitSystem sys_;

@@ -138,10 +138,9 @@ std::vector<core::EmRiskEntry> rank_by_stress(const ImportedGrid& grid,
   for (std::size_t index = 0; index < conductors.size(); ++index) {
     const auto& c = conductors[index];
     if (c.count == 0 || c.unit_resistance <= 0.0) continue;
-    const double g = static_cast<double>(c.count) / c.unit_resistance;
-    const double current =
-        std::abs(g * (slot_voltage(grid, baseline, c.node_a) -
-                      slot_voltage(grid, baseline, c.node_b)));
+    const double current = std::abs(
+        c.conductance() * (slot_voltage(grid, baseline, c.node_a) -
+                           slot_voltage(grid, baseline, c.node_b)));
     core::EmRiskEntry entry;
     entry.conductor_index = index;
     entry.kind = c.kind;

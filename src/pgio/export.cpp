@@ -64,7 +64,6 @@ PgNetlist from_pdn_model(const pdn::PdnModel& model,
   const pdn::PdnNetwork& network = model.network();
   const auto& config = model.config();
   const std::size_t nx = config.grid_nx;
-  const std::size_t cells = config.grid_nx * config.grid_ny;
 
   PgNetlist out;
   out.source = "<pdn-export>";
@@ -83,17 +82,14 @@ PgNetlist from_pdn_model(const pdn::PdnModel& model,
     }
     if (node == network.package_vdd_node()) return out.nodes.intern("pkg_vdd");
     if (node == network.package_gnd_node()) return out.nodes.intern("pkg_gnd");
-    const std::size_t rel = node - 2;
-    const std::size_t layer = rel / (2 * cells);
-    const bool is_vdd = (rel / cells) % 2 == 0;
-    const std::size_t cell = rel % cells;
-    const std::size_t plane = 2 * layer + (is_vdd ? 2 : 1);
+    const pdn::GridNodeLocation at = network.locate(node);
+    const std::size_t plane = 2 * at.layer + (at.vdd_net ? 2 : 1);
     return out.nodes.intern(std::string("n")
                                 .append(std::to_string(plane))
                                 .append("_")
-                                .append(std::to_string(cell % nx))
+                                .append(std::to_string(at.cell % nx))
                                 .append("_")
-                                .append(std::to_string(cell / nx)));
+                                .append(std::to_string(at.cell / nx)));
   };
 
   for (const auto& group : network.conductors()) {

@@ -285,21 +285,8 @@ void ImportedGrid::stamp_conductances(la::CooBuilder& builder,
   load_rhs.assign(unknown_count_, 0.0);
   for (const auto& c : conductors_) {
     if (c.count == 0 || c.unit_resistance <= 0.0) continue;
-    const double g = static_cast<double>(c.count) / c.unit_resistance;
-    const std::size_t a = c.node_a;
-    const std::size_t b = c.node_b;
-    const bool a_unknown = a < unknown_count_;
-    const bool b_unknown = b < unknown_count_;
-    if (a_unknown) builder.add(a, a, g);
-    if (b_unknown) builder.add(b, b, g);
-    if (a_unknown && b_unknown) {
-      builder.add(a, b, -g);
-      builder.add(b, a, -g);
-    } else if (a_unknown) {
-      fixed_rhs[a] += g * slot_potential_[b];
-    } else if (b_unknown) {
-      fixed_rhs[b] += g * slot_potential_[a];
-    }
+    pdn::stamp_conductance(builder, &fixed_rhs, c.node_a, c.node_b,
+                           c.conductance(), *this);
   }
   for (const std::size_t s : weak_pins_) {
     builder.add(s, s, kWeakPinConductance);
@@ -355,7 +342,7 @@ GridSolution ImportedGrid::solve_scaled(double load_scale,
     };
     for (const auto& c : conductors_) {
       if (c.count == 0 || c.unit_resistance <= 0.0) continue;
-      const double g = static_cast<double>(c.count) / c.unit_resistance;
+      const double g = c.conductance();
       for (const auto& [self, other] :
            {std::pair{c.node_a, c.node_b}, std::pair{c.node_b, c.node_a}}) {
         if (is_fixed(self) && slot_potential_[self] != 0.0) {

@@ -147,7 +147,9 @@ class ImportedGrid {
   /// Stamp the unknown-slot conductance Laplacian (conductors + weak pins)
   /// into `builder` and the RHS components (Dirichlet terms from fixed
   /// slots, unit-scale load injections) into the two vectors, which are
-  /// reset to unknown_count() zeros first.  The DC cache is built from
+  /// reset to unknown_count() zeros first.  Conductors go through
+  /// pdn::stamp_conductance, the synthesized PDN's stamp, with this grid's
+  /// is_fixed/fixed_potential as its rails.  The DC cache is built from
   /// this; the load-step transient route (pgio/campaign.h) calls it
   /// directly to add capacitor companion terms before freezing the matrix.
   void stamp_conductances(la::CooBuilder& builder, la::Vector& fixed_rhs,

@@ -27,7 +27,8 @@ void JobSpec::validate() const {
 }
 
 std::size_t JobSpec::chunk_count() const {
-  return (trials + chunk - 1) / chunk;
+  // No trials + chunk - 1: it wraps for a chunk near SIZE_MAX.
+  return trials / chunk + (trials % chunk != 0 ? 1 : 0);
 }
 
 std::size_t JobSpec::chunk_end(std::size_t c) const {

@@ -81,14 +81,6 @@ TEST(ScTestbenchTest, InterleavingReducesRipple) {
   EXPECT_LT(four.output_ripple, single.output_ripple);
 }
 
-TEST(ScTestbenchTest, FixedModeRejectsMisalignedStepCount) {
-  ScTestbenchConfig cfg;
-  ScSimulationOptions opts = fast_options();
-  opts.adaptive = false;
-  opts.steps_per_period = 30;  // not a multiple of 2*4 ways
-  EXPECT_THROW(simulate_push_pull_sc(cfg, opts), Error);
-}
-
 TEST(ScTestbenchTest, AdaptiveModeAcceptsAnyStepCount) {
   // The historical divide-the-period footgun is gone in adaptive mode: the
   // controller snaps step boundaries onto switch edges instead.

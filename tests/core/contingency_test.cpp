@@ -38,7 +38,11 @@ bool is_tsv_kind(pdn::ConductorKind kind) {
 
 TEST(ContingencyRankingTest, SortedProbabilitiesOverCandidateKinds) {
   const ContingencyEngine engine(ctx(), stacked4());
-  const auto ranking = engine.rank_by_em_risk(acts4());
+  ContingencyOptions opts;
+  opts.top_k = 0;  // rank the baseline, evaluate no case
+  const auto report = engine.run_n_minus_1(acts4(), opts);
+  EXPECT_TRUE(report.cases.empty());
+  const auto& ranking = report.ranking;
   ASSERT_FALSE(ranking.empty());
   for (std::size_t i = 0; i < ranking.size(); ++i) {
     const auto& e = ranking[i];

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.h"
 #include "floorplan/floorplan.h"
@@ -71,6 +73,30 @@ TEST(PdnTransientTest, SettlesToPostStepDcLevel) {
   const auto r = simulate_load_step(model, cpm(), {0.3, 0.3}, {1.0, 1.0}, o);
   const auto dc_after = model.solve_activities(cpm(), {1.0, 1.0});
   EXPECT_NEAR(r.final_noise, dc_after.max_node_deviation_fraction, 0.004);
+}
+
+TEST(PdnTransientTest, InitialNoiseIsTheDcNoiseMetric) {
+  // The run starts from the DC point of the pre-step loads, and the DC solve
+  // and the step loop share one noise metric: the two values agree bit for
+  // bit on both topologies.
+  for (const PdnTopology topology :
+       {PdnTopology::Regular3d, PdnTopology::VoltageStacked}) {
+    const StackupConfig cfg = small(topology, 4);
+    const std::vector<double> before = {0.9, 0.3, 0.9, 0.3};
+    const PdnModel stepped(cfg, paper_fp());
+    const auto r = simulate_load_step(stepped, cpm(), before,
+                                      std::vector<double>(4, 1.0),
+                                      fast_options());
+    ASSERT_TRUE(r.report.ok()) << r.report.summary();
+    const PdnModel solved(cfg, paper_fp());
+    const auto dc =
+        solved.solve(solved.network().build_loads(cpm(), before));
+    ASSERT_TRUE(dc.solve_ok) << dc.diagnostic;
+    EXPECT_GT(dc.max_node_deviation_fraction, 0.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.initial_noise),
+              std::bit_cast<std::uint64_t>(dc.max_node_deviation_fraction))
+        << r.initial_noise << " vs " << dc.max_node_deviation_fraction;
+  }
 }
 
 TEST(PdnTransientTest, SupplyCurrentRampsToNewLevel) {

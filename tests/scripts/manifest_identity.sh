@@ -46,8 +46,9 @@
 # shutdown; exit 3) run the one adaptive PDN step loop; with --verbose their
 # stdout carries the engine summary (step counts, dt range) and the event
 # trail.  `ride-through --netlist=...` on each pgio fixture runs the
-# imported-grid backward-Euler load step.  The `spice` line below runs the
-# circuit engine's fixed grid (`.tran 0.3125n 2u`, no ADAPTIVE).
+# imported-grid backward-Euler load step.  The two `spice` lines below run
+# the circuit engine's fixed grid (`.tran 0.3125n 2u`) and its adaptive
+# loop (`.tran 0.3125n 2u ADAPTIVE`, the loop of Fig. 3's SC testbench).
 #
 # Then compares stdout and exit code of `sweep --figure=F --jobs=4` for
 # each figure and of `report --jobs=4`, which prints the same tables
@@ -62,7 +63,7 @@
 # `validate` on each pgio fixture (netlist and .solution readers), `config`
 # (the stackup-config writer, whose bytes the campaign config hash covers)
 # and `spice` on the examples/spice_runner demo netlist, which this script
-# writes into its work directory.
+# writes into its work directory, once per stepping mode.
 #
 # Last, the single-scenario routes on an 8-layer stack: `noise
 # --imbalance=0.65 --map` (one PDN DC solve and its droop map), `em
@@ -211,6 +212,8 @@ Iload vout 0 50m
 .tran 0.3125n 2u
 .end
 EOF
+sed 's/^\.tran 0\.3125n 2u$/& ADAPTIVE/' "$WORK/spice_runner_demo.sp" \
+    >"$WORK/spice_runner_demo_adaptive.sp"
 status=0
 while read -r args; do
   for side in base head; do
@@ -255,6 +258,7 @@ validate $pgio/mesh3x3.spice
 validate $pgio/twonet_vias.spice
 config
 spice $WORK/spice_runner_demo.sp
+spice $WORK/spice_runner_demo_adaptive.sp
 noise --layers=8 --imbalance=0.65 --map
 em --topology=regular --layers=8
 efficiency --layers=8 --converters=8

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "common/error.h"
@@ -48,11 +49,23 @@ TEST(JobSpecTest, ChunkMathCoversEveryTrialExactlyOnce) {
   EXPECT_EQ(spec.chunk_end(0), 3u);
   EXPECT_EQ(spec.chunk_begin(3), 9u);
   EXPECT_EQ(spec.chunk_end(3), 10u);  // short tail chunk
-  for (std::size_t t = 0; t < spec.trials; ++t) {
-    const std::size_t c = spec.chunk_of(t);
-    EXPECT_GE(t, spec.chunk_begin(c));
-    EXPECT_LT(t, spec.chunk_end(c));
-  }
+  const auto covers_every_trial = [](const JobSpec& s) {
+    for (std::size_t t = 0; t < s.trials; ++t) {
+      const std::size_t c = s.chunk_of(t);
+      EXPECT_LT(c, s.chunk_count());
+      EXPECT_GE(t, s.chunk_begin(c));
+      EXPECT_LT(t, s.chunk_end(c));
+    }
+  };
+  covers_every_trial(spec);
+
+  // A chunk near SIZE_MAX (--chunk takes any count) is one chunk of every
+  // trial, not zero chunks.
+  spec.trials = 4;
+  spec.chunk = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(spec.chunk_count(), 1u);
+  EXPECT_EQ(spec.chunk_end(0), 4u);
+  covers_every_trial(spec);
 }
 
 TEST(JobSpecTest, ValidateRejectsDegenerateKnobs) {
