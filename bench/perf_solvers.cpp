@@ -1,5 +1,6 @@
 // google-benchmark timing of the linear-algebra kernels on PDN-shaped
-// systems: CG with Jacobi vs ILU(0), per-backend SpMV, and a full PDN
+// systems: CG with Jacobi vs ILU(0), per-backend SpMV, one Fig. 6 column's
+// right-hand sides as single solves vs one lockstep CG run, and a full PDN
 // solve.  A scoreboard after the timed runs records the backend SpMV
 // throughputs and the Jacobi-vs-ILU(0) iteration-growth trend as
 // telemetry gauges, so they land in BENCH_perf_solvers.json.
@@ -100,6 +101,88 @@ void BM_CgIlu0(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CgIlu0)->Arg(32)->Arg(64);
+
+/// The 8-layer voltage-stacked DC system at the paper shape (8
+/// converters per core), stamped with pdn's own conductance and converter
+/// stamps, and the right-hand sides of one Fig. 6 column: its 11
+/// interleaved imbalances 0, 0.1, ..., 1.
+struct PdnColumn {
+  la::CsrMatrix a;
+  std::vector<la::Vector> b;
+};
+
+const PdnColumn& pdn_column() {
+  static const PdnColumn column = [] {
+    const auto ctx = core::StudyContext::paper_defaults();
+    const std::size_t layers = 8;
+    const pdn::PdnModel model(core::make_stacked(ctx, layers, ctx.base.tsv, 8),
+                              ctx.layer_floorplan);
+    const pdn::PdnNetwork& net = model.network();
+    const pdn::FixedRails rails{net.config().supply_voltage()};
+    la::CooBuilder builder(net.node_count());
+    la::Vector base(net.node_count(), 0.0);
+    for (const auto& group : net.conductors()) {
+      pdn::stamp_conductance(builder, &base, group.node_a, group.node_b,
+                             group.conductance(), rails);
+    }
+    for (const auto& conv : net.converters()) {
+      pdn::stamp_converter(builder, &base, conv, 1.0 / conv.r_series,
+                           net.config());
+    }
+    PdnColumn out{builder.build(), {}};
+    for (int i = 0; i <= 10; ++i) {
+      la::Vector b = base;
+      for (const auto& load : net.build_loads(
+               ctx.core_model, power::interleaved_layer_activities(
+                                   layers, static_cast<double>(i) / 10.0))) {
+        b[load.vdd_node] -= load.current;
+        b[load.gnd_node] += load.current;
+      }
+      out.b.push_back(std::move(b));
+    }
+    return out;
+  }();
+  return column;
+}
+
+/// One Fig. 6 column as 11 cold CG + ILU(0) solves on one bound Solver --
+/// the baseline BM_CgLockstepPdnColumn is measured against.
+void BM_CgIlu0PdnColumn(benchmark::State& state) {
+  const PdnColumn& column = pdn_column();
+  la::SolveOptions options;
+  options.backend = la::BackendChoice::Reference;
+  la::Solver solver(column.a, options);
+  for (auto _ : state) {
+    for (const la::Vector& b : column.b) {
+      la::Vector x;
+      const auto report = solver.solve(b, x, pdn::PdnSolveOptions{}.iterative);
+      benchmark::DoNotOptimize(x.data());
+      benchmark::DoNotOptimize(report.iterations);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(column.b.size()));
+}
+BENCHMARK(BM_CgIlu0PdnColumn)->Unit(benchmark::kMillisecond);
+
+/// The same 11 right-hand sides in one lockstep CG run (the batch
+/// la::Solver::solve): every x keeps the bits of its single solve.
+void BM_CgLockstepPdnColumn(benchmark::State& state) {
+  const PdnColumn& column = pdn_column();
+  la::SolveOptions options;
+  options.backend = la::BackendChoice::Reference;
+  la::Solver solver(column.a, options);
+  for (auto _ : state) {
+    std::vector<la::Vector> x(column.b.size());
+    const auto reports =
+        solver.solve(column.b, x, pdn::PdnSolveOptions{}.iterative);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::DoNotOptimize(reports.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(column.b.size()));
+}
+BENCHMARK(BM_CgLockstepPdnColumn)->Unit(benchmark::kMillisecond);
 
 /// Repeated-solve cost through the la::Solver handle (prepared matrix,
 /// cached preconditioner, zero-alloc workspace) -- the PDN cache's shape.

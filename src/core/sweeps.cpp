@@ -1,5 +1,9 @@
 #include "core/sweeps.h"
 
+#include <array>
+#include <condition_variable>
+#include <mutex>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "em/array_mttf.h"
@@ -9,74 +13,194 @@ namespace vstack::core {
 
 namespace {
 
-std::vector<double> full_activity(std::size_t layers) {
-  return std::vector<double>(layers, 1.0);
-}
-
-/// EM-free MTTF of one fully active scenario's TSV array: the only lifetime
-/// Fig. 5a plots.
-double tsv_mttf(const StudyContext& ctx, const pdn::StackupConfig& config) {
-  return em::array_mttf(
-      solve_scenario(ctx, config, full_activity(config.layer_count))
-          .tsv_currents,
-      ctx.black, ctx.mttf_options);
-}
-
-/// Same for the C4 pad array: the only lifetime Fig. 5b plots.
-double c4_mttf(const StudyContext& ctx, const pdn::StackupConfig& config) {
-  return em::array_mttf(
-      solve_scenario(ctx, config, full_activity(config.layer_count))
-          .c4_pad_currents,
-      ctx.black, ctx.mttf_options);
-}
+/// What a figure reads from a plan entry besides the noise metric, which
+/// every solve yields for free.
+enum Reads : unsigned { kTsvLifetime = 1u, kC4Lifetime = 2u };
 
 /// The 2-layer V-S design both Fig. 5 plots normalize to.
 pdn::StackupConfig vs_baseline(const StudyContext& ctx) {
   return make_stacked(ctx, 2, ctx.base.tsv, ctx.base.converters_per_core);
 }
 
+/// Fig. 5a's systems at one layer count, in Fig5aRow order.
+std::array<pdn::StackupConfig, 4> fig5a_systems(const StudyContext& ctx,
+                                                std::size_t layers) {
+  const double c4 = ctx.base.power_c4_fraction;
+  return {make_regular(ctx, layers, pdn::TsvConfig::dense(), c4),
+          make_regular(ctx, layers, pdn::TsvConfig::sparse(), c4),
+          make_regular(ctx, layers, pdn::TsvConfig::few(), c4),
+          make_stacked(ctx, layers, pdn::TsvConfig::few(),
+                       ctx.base.converters_per_core)};
+}
+
+/// Fig. 5b's systems at one layer count, in Fig5bRow order.
+std::array<pdn::StackupConfig, 5> fig5b_systems(const StudyContext& ctx,
+                                                std::size_t layers) {
+  return {make_regular(ctx, layers, ctx.base.tsv, 0.25),
+          make_regular(ctx, layers, ctx.base.tsv, 0.50),
+          make_regular(ctx, layers, ctx.base.tsv, 0.75),
+          make_regular(ctx, layers, ctx.base.tsv, 1.00),
+          make_stacked(ctx, layers, ctx.base.tsv,
+                       ctx.base.converters_per_core)};
+}
+
+/// Fig. 6's regular-PDN references: Dense, Sparse, Few.
+std::array<pdn::StackupConfig, 3> fig6_references(const StudyContext& ctx,
+                                                  std::size_t layers) {
+  const double c4 = ctx.base.power_c4_fraction;
+  return {make_regular(ctx, layers, pdn::TsvConfig::dense(), c4),
+          make_regular(ctx, layers, pdn::TsvConfig::sparse(), c4),
+          make_regular(ctx, layers, pdn::TsvConfig::few(), c4)};
+}
+
+/// A fully active system, by the fields make_regular and make_stacked set
+/// on ctx.base.  Every plan system comes from one of the two, so equal keys
+/// are equal systems.
+struct SystemKey {
+  pdn::PdnTopology topology = pdn::PdnTopology::Regular3d;
+  std::size_t layers = 0;
+  pdn::TsvConfig tsv;
+  double power_c4_fraction = 0.0;
+  std::size_t converters_per_core = 0;
+
+  explicit SystemKey(const pdn::StackupConfig& c)
+      : topology(c.topology), layers(c.layer_count), tsv(c.tsv),
+        power_c4_fraction(c.power_c4_fraction),
+        converters_per_core(c.converters_per_core) {}
+  bool operator==(const SystemKey&) const = default;
+};
+
 }  // namespace
 
+/// The distinct fully active systems Figs. 5a, 5b and 6 read, fixed when
+/// the runner is built, each solved at most once per runner.  An entry
+/// keeps scalars only -- the lifetimes some figure reads and the noise
+/// metric -- never a solution's current arrays.
+struct SweepRunner::Plan {
+  struct Values {
+    double tsv_mttf = 0.0;
+    double c4_mttf = 0.0;
+    double noise = 0.0;  // max node deviation / vdd
+  };
+  struct Entry {
+    Entry(const SystemKey& k, unsigned r) : key(k), reads(r) {}
+    SystemKey key;
+    unsigned reads = 0;
+    enum class State { Unsolved, Solving, Solved } state = State::Unsolved;
+    Values values;
+  };
+
+  void add(const pdn::StackupConfig& config, unsigned reads) {
+    const SystemKey key(config);
+    for (Entry& e : entries) {
+      if (e.key == key) {
+        e.reads |= reads;
+        return;
+      }
+    }
+    entries.emplace_back(key, reads);
+  }
+
+  /// The values of `config`'s system, solving it on the first request.  The
+  /// solve runs outside the lock; a concurrent request for the same system
+  /// waits for it, so every system is solved once at any job count.
+  Values values(const StudyContext& ctx, const pdn::StackupConfig& config) {
+    const SystemKey key(config);
+    Entry* entry = nullptr;
+    for (Entry& e : entries) {
+      if (e.key == key) entry = &e;
+    }
+    VS_REQUIRE(entry != nullptr, "sweep system missing from the plan");
+    {
+      std::unique_lock lock(mutex);
+      solved.wait(lock, [&] { return entry->state != Entry::State::Solving; });
+      if (entry->state == Entry::State::Solved) return entry->values;
+      entry->state = Entry::State::Solving;
+    }
+    Values v;
+    try {
+      const pdn::PdnSolution sol = solve_scenario(
+          ctx, config, std::vector<double>(config.layer_count, 1.0));
+      v.noise = sol.max_node_deviation_fraction;
+      if ((entry->reads & kTsvLifetime) != 0u) {
+        v.tsv_mttf =
+            em::array_mttf(sol.tsv_currents, ctx.black, ctx.mttf_options);
+      }
+      if ((entry->reads & kC4Lifetime) != 0u) {
+        v.c4_mttf =
+            em::array_mttf(sol.c4_pad_currents, ctx.black, ctx.mttf_options);
+      }
+    } catch (...) {
+      {
+        const std::lock_guard lock(mutex);
+        entry->state = Entry::State::Unsolved;
+      }
+      solved.notify_all();
+      throw;
+    }
+    {
+      const std::lock_guard lock(mutex);
+      entry->values = v;
+      entry->state = Entry::State::Solved;
+    }
+    solved.notify_all();
+    return v;
+  }
+
+  std::vector<Entry> entries;  // fixed once the runner is built
+  std::mutex mutex;            // guards each entry's state and values
+  std::condition_variable solved;
+};
+
 SweepRunner::SweepRunner(const StudyContext& ctx, SweepOptions options)
-    : ctx_(ctx), options_(std::move(options)) {
+    : ctx_(ctx), options_(std::move(options)), plan_(std::make_unique<Plan>()) {
   options_.execution.validate();
   VS_REQUIRE(!options_.layer_counts.empty(),
              "SweepOptions.layer_counts must not be empty");
   VS_REQUIRE(!options_.converter_counts.empty(),
              "SweepOptions.converter_counts must not be empty");
+  plan_->entries.reserve(1 + 9 * options_.layer_counts.size() + 3);
+  plan_->add(vs_baseline(ctx_), kTsvLifetime | kC4Lifetime);
+  for (const std::size_t layers : options_.layer_counts) {
+    for (const auto& config : fig5a_systems(ctx_, layers)) {
+      plan_->add(config, kTsvLifetime);
+    }
+    for (const auto& config : fig5b_systems(ctx_, layers)) {
+      plan_->add(config, kC4Lifetime);
+    }
+  }
+  for (const auto& config : fig6_references(ctx_, options_.layers)) {
+    plan_->add(config, 0u);
+  }
 }
+
+SweepRunner::~SweepRunner() = default;
 
 std::vector<Fig5aRow> SweepRunner::fig5a() const {
   VS_SPAN("core.sweep.fig5a");
-  const StudyContext& ctx = ctx_;
   const ExecutionPolicy& execution = options_.execution;
   const std::vector<std::size_t>& layer_counts = options_.layer_counts;
   if (execution.deadline.expired()) return {};  // before the baseline solve
-  const double baseline = tsv_mttf(ctx, vs_baseline(ctx));
+  const double baseline = plan_->values(ctx_, vs_baseline(ctx_)).tsv_mttf;
   VS_REQUIRE(baseline > 0.0, "baseline TSV MTTF must be positive");
 
-  // One row per layer count, each evaluating four independent scenarios on
-  // its own models: rows fan out on the pool and land in sweep order.
+  // One row per layer count; rows fan out on the pool and land in sweep
+  // order.
   std::vector<Fig5aRow> rows(layer_counts.size());
   const TaskPool pool(execution);
   const std::size_t committed = pool.run_ordered(
       layer_counts.size(),
       [&](std::size_t r) {
-        const std::size_t layers = layer_counts[r];
-        const auto regular = [&](const pdn::TsvConfig& tsv) {
-          return tsv_mttf(ctx, make_regular(ctx, layers, tsv,
-                                            ctx.base.power_c4_fraction)) /
-                 baseline;
+        const auto systems = fig5a_systems(ctx_, layer_counts[r]);
+        const auto normalized = [&](std::size_t k) {
+          return plan_->values(ctx_, systems[k]).tsv_mttf / baseline;
         };
         Fig5aRow row;
-        row.layers = layers;
-        row.reg_dense = regular(pdn::TsvConfig::dense());
-        row.reg_sparse = regular(pdn::TsvConfig::sparse());
-        row.reg_few = regular(pdn::TsvConfig::few());
-        row.vs_few =
-            tsv_mttf(ctx, make_stacked(ctx, layers, pdn::TsvConfig::few(),
-                                       ctx.base.converters_per_core)) /
-            baseline;
+        row.layers = layer_counts[r];
+        row.reg_dense = normalized(0);
+        row.reg_sparse = normalized(1);
+        row.reg_few = normalized(2);
+        row.vs_few = normalized(3);
         rows[r] = row;
       },
       [](std::size_t) {});
@@ -86,11 +210,10 @@ std::vector<Fig5aRow> SweepRunner::fig5a() const {
 
 std::vector<Fig5bRow> SweepRunner::fig5b() const {
   VS_SPAN("core.sweep.fig5b");
-  const StudyContext& ctx = ctx_;
   const ExecutionPolicy& execution = options_.execution;
   const std::vector<std::size_t>& layer_counts = options_.layer_counts;
   if (execution.deadline.expired()) return {};  // before the baseline solve
-  const double baseline = c4_mttf(ctx, vs_baseline(ctx));
+  const double baseline = plan_->values(ctx_, vs_baseline(ctx_)).c4_mttf;
   VS_REQUIRE(baseline > 0.0, "baseline C4 MTTF must be positive");
 
   std::vector<Fig5bRow> rows(layer_counts.size());
@@ -98,21 +221,17 @@ std::vector<Fig5bRow> SweepRunner::fig5b() const {
   const std::size_t committed = pool.run_ordered(
       layer_counts.size(),
       [&](std::size_t r) {
-        const std::size_t layers = layer_counts[r];
-        const auto regular = [&](double fraction) {
-          return c4_mttf(ctx, make_regular(ctx, layers, ctx.base.tsv,
-                                           fraction)) /
-                 baseline;
+        const auto systems = fig5b_systems(ctx_, layer_counts[r]);
+        const auto normalized = [&](std::size_t k) {
+          return plan_->values(ctx_, systems[k]).c4_mttf / baseline;
         };
         Fig5bRow row;
-        row.layers = layers;
-        row.reg_25 = regular(0.25);
-        row.reg_50 = regular(0.50);
-        row.reg_75 = regular(0.75);
-        row.reg_100 = regular(1.00);
-        row.vs = c4_mttf(ctx, make_stacked(ctx, layers, ctx.base.tsv,
-                                           ctx.base.converters_per_core)) /
-                 baseline;
+        row.layers = layer_counts[r];
+        row.reg_25 = normalized(0);
+        row.reg_50 = normalized(1);
+        row.reg_75 = normalized(2);
+        row.reg_100 = normalized(3);
+        row.vs = normalized(4);
         rows[r] = row;
       },
       [](std::size_t) {});
@@ -128,46 +247,42 @@ Fig6Result SweepRunner::fig6(const std::vector<double>& imbalances) const {
   Fig6Result result;
   result.converter_counts = converter_counts;
 
-  // Tasks [0, 3) are the regular-PDN references.  Their worst case is all
-  // layers fully active, so the imbalance assumption does not affect these
-  // lines (paper Fig. 6 caption).
-  constexpr std::size_t kReferences = 3;
-  const pdn::TsvConfig reference_tsvs[kReferences] = {
-      pdn::TsvConfig::dense(), pdn::TsvConfig::sparse(),
-      pdn::TsvConfig::few()};
-  double* const reference_noise[kReferences] = {
-      &result.reg_dense, &result.reg_sparse, &result.reg_few};
+  // Tasks [0, 3) read the regular-PDN references from the plan.  Their
+  // worst case is all layers fully active, so the imbalance assumption
+  // does not affect these lines (paper Fig. 6 caption).
+  const auto references = fig6_references(ctx, layers);
+  double* const reference_noise[] = {&result.reg_dense, &result.reg_sparse,
+                                     &result.reg_few};
 
   // Every other task is one converter count's column: one PdnModel, built
-  // and bound once, solves each imbalance from a cold start, which gives
-  // the bits a fresh model per point would.  Only the plotted cells are
-  // kept, never a column of PdnSolutions.
+  // and bound once, solves every imbalance from a cold start in one
+  // lockstep batch, which gives the bits a fresh model per point would.
+  // Only the plotted cells outlive the task.
   std::vector<std::vector<std::optional<double>>> columns(
       converter_counts.size());
   const TaskPool pool(options_.execution);
-  const std::size_t tasks = kReferences + converter_counts.size();
+  const std::size_t tasks = references.size() + converter_counts.size();
   const std::size_t committed = pool.run_ordered(
       tasks,
       [&](std::size_t t) {
-        if (t < kReferences) {
-          *reference_noise[t] =
-              solve_scenario(ctx,
-                             make_regular(ctx, layers, reference_tsvs[t],
-                                          ctx.base.power_c4_fraction),
-                             full_activity(layers))
-                  .max_node_deviation_fraction;
+        if (t < references.size()) {
+          *reference_noise[t] = plan_->values(ctx, references[t]).noise;
           return;
         }
+        const std::size_t c = t - references.size();
         const pdn::PdnModel model(
-            make_stacked(ctx, layers, ctx.base.tsv,
-                         converter_counts[t - kReferences]),
+            make_stacked(ctx, layers, ctx.base.tsv, converter_counts[c]),
             ctx.layer_floorplan);
-        auto& column = columns[t - kReferences];
-        column.reserve(imbalances.size());
+        std::vector<std::vector<pdn::LoadInjection>> load_sets;
+        load_sets.reserve(imbalances.size());
         for (const double imbalance : imbalances) {
-          const auto sol = model.solve_cold(model.network().build_loads(
+          load_sets.push_back(model.network().build_loads(
               ctx.core_model,
               power::interleaved_layer_activities(layers, imbalance)));
+        }
+        auto& column = columns[c];
+        column.reserve(imbalances.size());
+        for (const auto& sol : model.solve_cold(load_sets)) {
           if (sol.converter_limit_ok) {
             column.emplace_back(sol.max_node_deviation_fraction);
           } else {

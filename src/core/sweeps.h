@@ -11,8 +11,19 @@
 // Results land in sweep order either way, so parallel output is
 // bit-identical to serial.  Fig. 7 is a single seeded sampling campaign and
 // always runs serially.
+//
+// Figs. 5a, 5b and the Fig. 6 references all read fully active systems,
+// and many of those are the same system: Fig. 5b's `vs` and `reg_25` are
+// Fig. 5a's `vs_few` and `reg_few`, the 2-layer baseline is the 2-layer
+// `vs_few`, and Fig. 6's references are Fig. 5a's regular rows at
+// options().layers.  The runner therefore plans, from its options, the
+// distinct systems and what some figure reads from each (the TSV lifetime,
+// the C4 lifetime, the noise metric), and solves each one at most once,
+// when a figure first reads it, keeping only those scalars.  Each system's
+// numbers are a fresh model's, so which figure solves it changes no bit.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,9 +56,10 @@ struct Fig5bRow {
 /// Fig. 6: maximum on-chip voltage noise vs workload imbalance, 8-layer
 /// stack.  Entries where the converter current limit is violated are
 /// reported as std::nullopt (the paper skips those points).  Each converter
-/// count's model is built once and solves every imbalance cold, so every
-/// cell has the bits of a fresh model per point.  A row needs every
-/// column: a fired deadline returns no rows.
+/// count's model is built once and solves every imbalance cold in one
+/// lockstep batch (PdnModel::solve_cold over the load sets), so every cell
+/// has the bits of a fresh model per point.  A row needs every column: a
+/// fired deadline returns no rows.
 struct Fig6Row {
   double imbalance = 0.0;
   std::vector<std::optional<double>> vs_noise;  // one per converter count
@@ -95,10 +107,12 @@ struct SweepOptions {
 
 /// The figure drivers: bind the study context and the sweep shapes once,
 /// then call each figure.  The context must outlive the runner (same
-/// borrowing rule as CampaignRunner).
+/// borrowing rule as CampaignRunner).  The figures share the runner's plan
+/// of solved systems, so one runner may serve them from several threads.
 class SweepRunner {
  public:
   SweepRunner(const StudyContext& ctx, SweepOptions options);
+  ~SweepRunner();
 
   const SweepOptions& options() const { return options_; }
 
@@ -115,8 +129,11 @@ class SweepRunner {
   Fig8Result fig8(const std::vector<double>& imbalances) const;
 
  private:
+  struct Plan;
+
   const StudyContext& ctx_;
   SweepOptions options_;
+  std::unique_ptr<Plan> plan_;
 };
 
 }  // namespace vstack::core

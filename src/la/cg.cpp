@@ -8,6 +8,283 @@
 
 namespace vstack::la {
 
+namespace {
+
+const telemetry::Counter t_calls("la.cg.calls");
+const telemetry::Counter t_iters("la.cg.iterations");
+
+// Row-interleaved block kernels over W right-hand sides (la/vector_ops.h).
+// Lane j of each performs the reference backend's single-vector operations
+// in the same order, so every lane keeps the bits of a single solve.
+
+/// y = A x, per lane CsrMatrix::multiply.
+template <std::size_t W>
+void block_spmv(const CsrMatrix& a, const double* x, double* y) {
+  const std::size_t* row_ptr = a.row_ptr().data();
+  const std::size_t* col = a.col_idx().data();
+  const double* val = a.values().data();
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    double s[W] = {};
+    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+      const double v = val[k];
+      const double* xc = x + col[k] * W;
+      for (std::size_t j = 0; j < W; ++j) s[j] += v * xc[j];
+    }
+    for (std::size_t j = 0; j < W; ++j) y[i * W + j] = s[j];
+  }
+}
+
+/// out[j] = la::dot of lane j of u and v.
+template <std::size_t W>
+void block_dot(std::size_t n, const double* u, const double* v,
+               double* out) {
+  double s[W] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < W; ++j) s[j] += u[i * W + j] * v[i * W + j];
+  }
+  for (std::size_t j = 0; j < W; ++j) out[j] = s[j];
+}
+
+/// One right-hand side of a lockstep group.
+struct Lane {
+  std::size_t rhs = 0;  // index into the caller's b, x and reports
+  double b_norm = 0.0;
+  double rz = 0.0;
+  double best_res = 0.0;
+  std::size_t since_best = 0;
+  bool done = false;
+};
+
+/// conjugate_gradient()'s loop over a group of lanes, one iteration index
+/// for all.  Lane j of the blocks x_, r_, p_ and zap_ (z, then A p: never
+/// live at once) is slot j of lanes_.
+class LockstepGroup {
+ public:
+  LockstepGroup(const CsrMatrix& a, const Preconditioner& precond,
+                const IterativeOptions& options, const BackendMatrix& prepared,
+                std::span<const Vector> b, std::span<Vector> x,
+                std::vector<SolveReport>& reports, Vector& scratch)
+      : a_(a), precond_(precond), options_(options), prepared_(prepared),
+        b_(b), x_out_(x), reports_(reports), scratch_(scratch) {}
+
+  void run(std::vector<Lane> lanes) {
+    lanes_ = std::move(lanes);
+    const std::size_t n = a_.size();
+    const std::size_t w = lanes_.size();
+    x_.resize(n * w);
+    r_.resize(n * w);
+    p_.resize(n * w);
+    zap_.resize(n * w);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < w; ++j) {
+        x_[i * w + j] = x_out_[lanes_[j].rhs][i];
+        r_[i * w + j] = b_[lanes_[j].rhs][i];
+      }
+    }
+    it_ = 0;
+    first_ = true;
+    with_block_width(w, [&](auto width) { start<decltype(width)::value>(); });
+    compact();
+    while (!lanes_.empty()) {
+      with_block_width(lanes_.size(), [&](auto width) {
+        iterate<decltype(width)::value>();
+      });
+      compact();
+    }
+  }
+
+ private:
+  /// r = b - A x0 (r_ holds b on entry); lanes whose guess is already
+  /// inside tolerance leave converged at zero iterations.
+  template <std::size_t W>
+  void start() {
+    const std::size_t n = a_.size();
+    block_spmv<W>(a_, x_.data(), zap_.data());
+    for (std::size_t i = 0; i < n * W; ++i) r_[i] = r_[i] - zap_[i];
+    double rr[W];
+    block_dot<W>(n, r_.data(), r_.data(), rr);
+    for (std::size_t j = 0; j < W; ++j) {
+      Lane& lane = lanes_[j];
+      const double initial_res = std::sqrt(rr[j]) / lane.b_norm;
+      if (initial_res < options_.relative_tolerance) {
+        SolveReport& report = reports_[lane.rhs];
+        report.converged = true;
+        report.residual_norm = initial_res;
+        lane.done = true;  // x still holds the caller's guess
+        continue;
+      }
+      lane.best_res = initial_res;
+    }
+  }
+
+  /// z = M^{-1} r, then p = z on the first pass and p = z + beta p after.
+  template <std::size_t W>
+  void precondition() {
+    const std::size_t n = a_.size();
+    precond_.apply_block(r_, zap_, W);
+    double rz[W];
+    block_dot<W>(n, r_.data(), zap_.data(), rz);
+    if (first_) {
+      first_ = false;
+      for (std::size_t j = 0; j < W; ++j) lanes_[j].rz = rz[j];
+      for (std::size_t i = 0; i < n * W; ++i) p_[i] = zap_[i];
+      return;
+    }
+    double beta[W];
+    for (std::size_t j = 0; j < W; ++j) {
+      beta[j] = rz[j] / lanes_[j].rz;
+      lanes_[j].rz = rz[j];
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < W; ++j) {
+        p_[i * W + j] = zap_[i * W + j] + beta[j] * p_[i * W + j];
+      }
+    }
+  }
+
+  /// Iterates until a lane leaves (the caller then narrows the group) or
+  /// the budget or the deadline ends every lane.
+  template <std::size_t W>
+  void iterate() {
+    const std::size_t n = a_.size();
+    precondition<W>();
+    for (; it_ < options_.max_iterations; ++it_) {
+      // The single-vector loop's deadline poll, every 8 iterations.
+      if ((it_ & 7u) == 0u && options_.deadline.expired()) {
+        for (std::size_t j = 0; j < W; ++j) {
+          VS_LOG_WARN("CG: deadline expired at iteration " << it_);
+          reports_[lanes_[j].rhs].deadline_expired = true;
+          stop(j);
+        }
+        return;
+      }
+      block_spmv<W>(a_, p_.data(), zap_.data());
+      double pap[W];
+      block_dot<W>(n, p_.data(), zap_.data(), pap);
+      double alpha[W];
+      for (std::size_t j = 0; j < W; ++j) {
+        alpha[j] = 0.0;  // a lane stopped here keeps its x
+        if (!(pap[j] > 0.0)) {
+          VS_LOG_WARN("CG: non-positive curvature at iteration " << it_);
+          stop(j);
+          continue;
+        }
+        alpha[j] = lanes_[j].rz / pap[j];
+      }
+      double rr[W] = {};
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < W; ++j) {
+          x_[i * W + j] += alpha[j] * p_[i * W + j];
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < W; ++j) {
+          const double r = r_[i * W + j] + (-alpha[j]) * zap_[i * W + j];
+          r_[i * W + j] = r;
+          rr[j] += r * r;
+        }
+      }
+      bool left = false;
+      for (std::size_t j = 0; j < W; ++j) {
+        Lane& lane = lanes_[j];
+        if (lane.done) {
+          left = true;
+          continue;
+        }
+        SolveReport& report = reports_[lane.rhs];
+        const double res = std::sqrt(rr[j]) / lane.b_norm;
+        report.iterations = it_ + 1;
+        report.residual_norm = res;
+        if (!std::isfinite(res)) {
+          VS_LOG_WARN("CG: non-finite residual at iteration " << it_);
+          stop(j);
+        } else if (res < options_.relative_tolerance) {
+          report.converged = true;
+          t_iters.add(static_cast<double>(report.iterations));
+          extract(j);
+          lane.done = true;
+        } else if (options_.stagnation_window > 0) {
+          if (res <= options_.stagnation_factor * lane.best_res) {
+            lane.best_res = res;
+            lane.since_best = 0;
+          } else if (++lane.since_best >= options_.stagnation_window) {
+            VS_LOG_WARN("CG: stagnated (residual " << res
+                        << ") at iteration " << it_);
+            stop(j);
+          }
+        }
+        left = left || lane.done;
+      }
+      if (left) {
+        ++it_;
+        return;
+      }
+      precondition<W>();
+    }
+    for (std::size_t j = 0; j < W; ++j) stop(j);  // budget spent
+  }
+
+  /// Copies lane j's iterate to the caller's x.
+  void extract(std::size_t j) {
+    const std::size_t w = lanes_.size();
+    Vector& x = x_out_[lanes_[j].rhs];
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = x_[i * w + j];
+  }
+
+  /// Ends lane j without convergence inside the loop: what the
+  /// single-vector loop does after it breaks or runs out of budget.
+  void stop(std::size_t j) {
+    Lane& lane = lanes_[j];
+    extract(j);
+    const Backend& bk = reference_backend();
+    SolveReport& report = reports_[lane.rhs];
+    bk.residual(prepared_, b_[lane.rhs], x_out_[lane.rhs], scratch_);
+    report.residual_norm = bk.norm2(scratch_) / lane.b_norm;
+    report.converged = report.residual_norm < options_.relative_tolerance;
+    t_iters.add(static_cast<double>(report.iterations));
+    lane.done = true;
+  }
+
+  /// Drops finished lanes, repacking x_, r_ and p_ at the narrower width
+  /// (in place: no entry moves to a higher index).
+  void compact() {
+    const std::size_t w = lanes_.size();
+    std::vector<std::size_t> keep;
+    for (std::size_t j = 0; j < w; ++j) {
+      if (!lanes_[j].done) keep.push_back(j);
+    }
+    if (keep.size() == w) return;
+    const std::size_t n = a_.size();
+    const std::size_t v = keep.size();
+    for (Vector* block : {&x_, &r_, &p_}) {
+      double* d = block->data();
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t k = 0; k < v; ++k) d[i * v + k] = d[i * w + keep[k]];
+      }
+      block->resize(n * v);
+    }
+    zap_.resize(n * v);
+    std::vector<Lane> lanes;
+    for (const std::size_t j : keep) lanes.push_back(lanes_[j]);
+    lanes_ = std::move(lanes);
+  }
+
+  const CsrMatrix& a_;
+  const Preconditioner& precond_;
+  const IterativeOptions& options_;
+  const BackendMatrix& prepared_;
+  std::span<const Vector> b_;
+  std::span<Vector> x_out_;
+  std::vector<SolveReport>& reports_;
+  Vector& scratch_;
+  std::vector<Lane> lanes_;
+  Vector x_, r_, p_, zap_;
+  std::size_t it_ = 0;
+  bool first_ = true;
+};
+
+}  // namespace
+
 SolveReport conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
                                const Preconditioner& precond,
                                const IterativeOptions& options) {
@@ -19,8 +296,6 @@ SolveReport conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
                                const IterativeOptions& options,
                                const KrylovContext& ctx) {
   VS_SPAN("la.cg.solve");
-  static const telemetry::Counter t_calls("la.cg.calls");
-  static const telemetry::Counter t_iters("la.cg.iterations");
   t_calls.add();
   const std::size_t n = a.size();
   VS_REQUIRE(b.size() == n, "cg: rhs size mismatch");
@@ -115,6 +390,56 @@ SolveReport conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
   report.converged = report.residual_norm < options.relative_tolerance;
   t_iters.add(static_cast<double>(report.iterations));
   return report;
+}
+
+std::vector<SolveReport> conjugate_gradient(const CsrMatrix& a,
+                                            std::span<const Vector> b,
+                                            std::span<Vector> x,
+                                            const Preconditioner& precond,
+                                            const IterativeOptions& options,
+                                            const KrylovContext& ctx) {
+  VS_SPAN("la.cg.lockstep");
+  const Backend& bk = reference_backend();
+  VS_REQUIRE(ctx.backend == nullptr || ctx.backend == &bk,
+             "lockstep cg runs the reference backend's arithmetic");
+  VS_REQUIRE(b.size() == x.size(), "cg: one guess per right-hand side");
+  const std::size_t n = a.size();
+  std::unique_ptr<BackendMatrix> local_prepared;
+  const BackendMatrix* pm = ctx.prepared;
+  if (pm == nullptr) {
+    local_prepared = bk.prepare(a);
+    pm = local_prepared.get();
+  }
+  KrylovWorkspace local_ws;
+  KrylovWorkspace& w = ctx.workspace != nullptr ? *ctx.workspace : local_ws;
+  w.ensure(n);
+
+  std::vector<SolveReport> reports(b.size());
+  std::vector<Lane> lanes;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    t_calls.add();
+    VS_REQUIRE(b[i].size() == n, "cg: rhs size mismatch");
+    if (x[i].size() != n) x[i].assign(n, 0.0);
+    const double b_norm = bk.norm2(b[i]);
+    if (b_norm == 0.0) {
+      fill(x[i], 0.0);
+      reports[i].converged = true;
+      continue;
+    }
+    lanes.push_back({.rhs = i, .b_norm = b_norm});
+  }
+
+  // Groups of near-equal width: 11 right-hand sides run as 6 + 5.
+  LockstepGroup group(a, precond, options, *pm, b, x, reports, w.r);
+  const std::size_t groups = (lanes.size() + kBlockWidth - 1) / kBlockWidth;
+  for (std::size_t g = 0, begin = 0; g < groups; ++g) {
+    const std::size_t end = begin + (lanes.size() - begin) / (groups - g);
+    group.run(std::vector<Lane>(
+        lanes.begin() + static_cast<std::ptrdiff_t>(begin),
+        lanes.begin() + static_cast<std::ptrdiff_t>(end)));
+    begin = end;
+  }
+  return reports;
 }
 
 }  // namespace vstack::la

@@ -1,6 +1,7 @@
 // Preconditioners for the Krylov solvers.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "la/sparse.h"
@@ -13,6 +14,10 @@ class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
   virtual void apply(const Vector& r, Vector& z) const = 0;
+  /// apply() to `width` (1 to kBlockWidth) row-interleaved vectors at once
+  /// (la/vector_ops.h); each one gets exactly apply()'s bits.
+  virtual void apply_block(const Vector& r, Vector& z,
+                           std::size_t width) const = 0;
 };
 
 /// Diagonal (Jacobi) preconditioner.  Rows with zero diagonal pass through.
@@ -20,6 +25,8 @@ class JacobiPreconditioner final : public Preconditioner {
  public:
   explicit JacobiPreconditioner(const CsrMatrix& a);
   void apply(const Vector& r, Vector& z) const override;
+  void apply_block(const Vector& r, Vector& z,
+                   std::size_t width) const override;
 
  private:
   Vector inv_diag_;
@@ -32,15 +39,23 @@ class Ilu0Preconditioner final : public Preconditioner {
  public:
   explicit Ilu0Preconditioner(const CsrMatrix& a);
   void apply(const Vector& r, Vector& z) const override;
+  void apply_block(const Vector& r, Vector& z,
+                   std::size_t width) const override;
 
  private:
-  // LU factors share A's sparsity pattern: strictly-lower entries hold L
-  // (unit diagonal implied), diagonal and upper hold U.
+  template <std::size_t W>
+  void solve(const double* r, double* z) const;
+
+  // The factors keep A's sparsity pattern, split for the two triangular
+  // solves: L holds each row's strictly-lower entries (unit diagonal
+  // implied), U its strictly-upper entries, and diag_ U's diagonal.  Both
+  // keep A's column order, and 32-bit columns halve the index traffic.
   std::size_t n_;
-  std::vector<std::size_t> row_ptr_;
-  std::vector<std::size_t> col_idx_;
-  std::vector<double> lu_;
-  std::vector<std::size_t> diag_pos_;  // index of the diagonal entry per row
+  std::vector<std::uint32_t> l_ptr_, l_col_;
+  std::vector<double> l_val_;
+  std::vector<std::uint32_t> u_ptr_, u_col_;
+  std::vector<double> u_val_;
+  std::vector<double> diag_;
 };
 
 /// Factory helpers returning owning pointers.

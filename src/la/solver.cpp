@@ -103,10 +103,22 @@ void solve_dense(const CsrMatrix& a, const Vector& b, Vector& x,
   }
 }
 
+/// The caller's CG options with stagnation detection on: a hopeless CG run
+/// hands over to dense LU instead of burning its whole budget.
+IterativeOptions cg_options(const IterativeOptions& iterative) {
+  IterativeOptions options = iterative;
+  if (options.stagnation_window == 0) {
+    options.stagnation_window =
+        std::max<std::size_t>(100, options.max_iterations / 20);
+  }
+  return options;
+}
+
 }  // namespace
 
 Solver::Solver(const CsrMatrix& a, SolveOptions options)
     : a_(&a), backend_(&resolve_backend(options.backend)) {
+  VS_SPAN("la.solver.bind");
   t_binds.add();
   prepared_ = backend_->prepare(a);
   precond_ = build_precond(a, precond_label_);
@@ -115,24 +127,55 @@ Solver::Solver(const CsrMatrix& a, SolveOptions options)
 SolveReport Solver::solve(const Vector& b, Vector& x,
                           const IterativeOptions& iterative) {
   VS_SPAN("la.solve");
+  const Vector x0 = begin_solve(b, x);
+  const SolveReport cg =
+      conjugate_gradient(*a_, b, x, *precond_, cg_options(iterative),
+                         {backend_, prepared_.get(), &workspace_});
+  return finish_solve(b, x, x0, cg, iterative);
+}
+
+std::vector<SolveReport> Solver::solve(std::span<const Vector> b,
+                                       std::span<Vector> x,
+                                       const IterativeOptions& iterative) {
+  VS_REQUIRE(b.size() == x.size(), "solve: one guess per right-hand side");
+  std::vector<SolveReport> reports;
+  reports.reserve(b.size());
+  if (backend_ != &reference_backend()) {
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      reports.push_back(solve(b[i], x[i], iterative));
+    }
+    return reports;
+  }
+  VS_SPAN("la.solve");
+  std::vector<Vector> x0;
+  x0.reserve(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    x0.push_back(begin_solve(b[i], x[i]));
+  }
+  const std::vector<SolveReport> cg =
+      conjugate_gradient(*a_, b, x, *precond_, cg_options(iterative),
+                         {backend_, prepared_.get(), &workspace_});
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    reports.push_back(finish_solve(b[i], x[i], x0[i], cg[i], iterative));
+  }
+  return reports;
+}
+
+Vector Solver::begin_solve(const Vector& b, Vector& x) const {
   t_calls.add();
   (backend_ == &optimized_backend() ? t_solves_optimized : t_solves_reference)
       .add();
   const std::size_t n = a_->size();
   VS_REQUIRE(b.size() == n, "solve: rhs size mismatch");
-  if (x.size() != n) x.assign(n, 0.0);
-  const Vector x0 = x;
+  if (x.size() == n) return x;
+  x.assign(n, 0.0);
+  return {};  // a zero guess needs no copy to be restored
+}
 
-  // Stagnation detection: a hopeless CG run hands over to dense LU instead
-  // of burning its whole budget.
-  IterativeOptions cg_options = iterative;
-  if (cg_options.stagnation_window == 0) {
-    cg_options.stagnation_window =
-        std::max<std::size_t>(100, cg_options.max_iterations / 20);
-  }
-  const KrylovContext ctx{backend_, prepared_.get(), &workspace_};
-  const SolveReport cg =
-      conjugate_gradient(*a_, b, x, *precond_, cg_options, ctx);
+SolveReport Solver::finish_solve(const Vector& b, Vector& x, const Vector& x0,
+                                 const SolveReport& cg,
+                                 const IterativeOptions& iterative) const {
+  const std::size_t n = a_->size();
   SolveReport report;
   report.deadline_expired = cg.deadline_expired;
   record(report, "cg+" + precond_label_, cg.converged && all_finite(x),
@@ -154,7 +197,12 @@ SolveReport Solver::solve(const Vector& b, Vector& x,
   }
 
   t_failed.add();
-  x = x0;  // never hand back a diverged/NaN iterate
+  // Never hand back a diverged/NaN iterate.
+  if (x0.empty()) {
+    fill(x, 0.0);
+  } else {
+    x = x0;
+  }
   std::ostringstream diag;
   if (deadline.expired()) {
     report.deadline_expired = true;

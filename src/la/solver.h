@@ -16,14 +16,18 @@
 //   CG from the caller's guess -> dense LU (systems up to 4000 unknowns)
 //
 // CG runs under the caller's iteration budget with stagnation detection;
-// every step is recorded in SolveReport::attempts.  The bound matrix must
+// every step is recorded in SolveReport::attempts.  Several right-hand
+// sides of one matrix can go through one call, which runs their CG in
+// lockstep with the bits of one solve() each (docs/linear_algebra.md).  The bound matrix must
 // outlive the Solver and must not move or change values while bound;
 // callers that rebuild their matrix (topology epoch bumps) rebuild the
 // Solver with it.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "la/backend.h"
 #include "la/cg.h"
@@ -69,6 +73,16 @@ class Solver {
   SolveReport solve(const Vector& b, Vector& x,
                     const IterativeOptions& iterative = {});
 
+  /// solve(b[i], x[i], iterative) for every i, returning report i of each:
+  /// every x[i] and report is what that call would give, down to the bits,
+  /// the attempt trail and the diagnostic, and the la.solve.*, la.solver.*
+  /// and la.cg.* counters count each right-hand side as that call would.
+  /// On the reference backend the CG runs of all right-hand sides go in
+  /// lockstep (la/cg.h); on any other backend this loops over solve().
+  std::vector<SolveReport> solve(std::span<const Vector> b,
+                                 std::span<Vector> x,
+                                 const IterativeOptions& iterative = {});
+
   const CsrMatrix& matrix() const { return *a_; }
   const Backend& backend() const { return *backend_; }
   /// Label of the preconditioner actually built: "ilu0", or "jacobi" when
@@ -76,6 +90,16 @@ class Solver {
   const std::string& preconditioner_label() const { return precond_label_; }
 
  private:
+  /// Counts one solve, checks b and sizes x; returns a copy of the
+  /// caller's guess, or an empty vector when x starts from zero.
+  Vector begin_solve(const Vector& b, Vector& x) const;
+  /// Everything after CG: the attempt trail, dense LU when CG failed, and
+  /// on failure the restored guess x0 (zero when empty) and the
+  /// diagnostic.
+  SolveReport finish_solve(const Vector& b, Vector& x, const Vector& x0,
+                           const SolveReport& cg,
+                           const IterativeOptions& iterative) const;
+
   const CsrMatrix* a_;
   const Backend* backend_;
   std::unique_ptr<BackendMatrix> prepared_;

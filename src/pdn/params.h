@@ -60,6 +60,8 @@ struct TsvConfig {
 
   void validate() const;
 
+  bool operator==(const TsvConfig&) const = default;
+
   /// The paper's three design points.
   static TsvConfig dense();   // conservative: 20 um pitch, 6650 TSVs/core
   static TsvConfig sparse();  // average:      40 um pitch, 1675 TSVs/core

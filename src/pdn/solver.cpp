@@ -17,42 +17,30 @@ namespace {
 /// glaring (and flagged) voltage deviation rather than hiding.
 constexpr double kIslandPinConductance = 1.0;
 
+const telemetry::Counter t_dc_solves("pdn.dc.solves");
+
 }  // namespace
 
 PdnModel::PdnModel(const StackupConfig& config,
                    const floorplan::Floorplan& floorplan)
     : network_(config, floorplan) {}
 
-PdnSolution PdnModel::solve(const std::vector<LoadInjection>& loads,
-                            const PdnSolveOptions& options) const {
-  VS_SPAN("pdn.dc.solve");
-  static const telemetry::Counter t_dc_solves("pdn.dc.solves");
-  t_dc_solves.add();
-  const auto& cfg = config();
+std::vector<double> PdnModel::nominal_r_series() const {
   std::vector<double> r_series(network_.converters().size());
   for (std::size_t c = 0; c < r_series.size(); ++c) {
     r_series[c] = network_.converters()[c].r_series;
   }
+  return r_series;
+}
 
-  PdnSolution solution = solve_once(loads, r_series, options);
-
-  if (solution.solve_ok && cfg.is_voltage_stacked() &&
-      cfg.converter.control == sc::ControlPolicy::ClosedLoop) {
-    // Closed-loop converters modulate f_sw (and hence R_SSL) with load:
-    // iterate the series resistances to a fixed point.
-    const sc::ScCompactModel model(cfg.converter);
-    for (std::size_t it = 0; it < kClosedLoopRefinements; ++it) {
-      for (std::size_t c = 0; c < r_series.size(); ++c) {
-        if (!network_.converters()[c].enabled) continue;
-        const double f =
-            model.switching_frequency(solution.converter_currents[c]);
-        r_series[c] = model.r_series(f);
-      }
-      PdnSolution refined = solve_once(loads, r_series, options);
-      if (!refined.solve_ok) break;  // keep the last good fixed-point iterate
-      solution = std::move(refined);
-    }
-  }
+PdnSolution PdnModel::solve(const std::vector<LoadInjection>& loads,
+                            const PdnSolveOptions& options) const {
+  VS_SPAN("pdn.dc.solve");
+  t_dc_solves.add();
+  const std::vector<double> r_series = nominal_r_series();
+  bind(r_series);  // a re-assembly clears last_solution_
+  PdnSolution solution = solve_once(loads, r_series, last_solution_, options);
+  refine(loads, r_series, solution, options);
   return solution;
 }
 
@@ -62,6 +50,33 @@ PdnSolution PdnModel::solve_cold(const std::vector<LoadInjection>& loads,
   return solve(loads, options);
 }
 
+std::vector<PdnSolution> PdnModel::solve_cold(
+    const std::vector<std::vector<LoadInjection>>& load_sets,
+    const PdnSolveOptions& options) const {
+  VS_SPAN("pdn.dc.solve");
+  t_dc_solves.add(static_cast<double>(load_sets.size()));
+  const std::vector<double> r_series = nominal_r_series();
+  bind(r_series);
+  std::vector<PdnSolution> solutions(load_sets.size());
+  std::vector<la::Vector> rhs;
+  std::vector<la::Vector> x(load_sets.size());  // cold: zero guesses
+  rhs.reserve(load_sets.size());
+  for (std::size_t i = 0; i < load_sets.size(); ++i) {
+    rhs.push_back(load_rhs(load_sets[i], solutions[i]));
+  }
+  std::vector<la::SolveReport> reports =
+      cache_->solver->solve(rhs, x, options.iterative);
+  rhs.clear();
+  for (std::size_t i = 0; i < load_sets.size(); ++i) {
+    PdnSolution& sol = solutions[i];
+    sol.node_voltages = std::move(x[i]);
+    sol.report = std::move(reports[i]);
+    finish(load_sets[i], r_series, sol);
+    refine(load_sets[i], r_series, sol, options);
+  }
+  return solutions;
+}
+
 PdnSolution PdnModel::solve_activities(
     const power::CorePowerModel& model,
     const std::vector<double>& layer_activities,
@@ -69,22 +84,51 @@ PdnSolution PdnModel::solve_activities(
   return solve(network_.build_loads(model, layer_activities), options);
 }
 
-PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
-                                 const std::vector<double>& converter_r_series,
-                                 const PdnSolveOptions& options) const {
+void PdnModel::refine(const std::vector<LoadInjection>& loads,
+                      std::vector<double> r_series, PdnSolution& solution,
+                      const PdnSolveOptions& options) const {
+  const auto& cfg = config();
+  if (!solution.solve_ok || !cfg.is_voltage_stacked() ||
+      cfg.converter.control != sc::ControlPolicy::ClosedLoop) {
+    return;
+  }
+  // Closed-loop converters modulate f_sw (and hence R_SSL) with load:
+  // iterate the series resistances to a fixed point.  A pass starts from
+  // the iterate before it when its resistances are unchanged, else (a
+  // re-assembled system) from zero.
+  const sc::ScCompactModel model(cfg.converter);
+  for (std::size_t it = 0; it < kClosedLoopRefinements; ++it) {
+    std::vector<double> next = r_series;
+    for (std::size_t c = 0; c < next.size(); ++c) {
+      if (!network_.converters()[c].enabled) continue;
+      const double f =
+          model.switching_frequency(solution.converter_currents[c]);
+      next[c] = model.r_series(f);
+    }
+    const la::Vector guess =
+        next == r_series ? solution.node_voltages : la::Vector{};
+    bind(next);
+    PdnSolution refined = solve_once(loads, next, guess, options);
+    if (!refined.solve_ok) break;  // keep the last good fixed-point iterate
+    solution = std::move(refined);
+    r_series = std::move(next);
+  }
+}
+
+void PdnModel::bind(const std::vector<double>& converter_r_series) const {
   const auto& cfg = config();
   const std::size_t n = network_.node_count();
-  const double v_supply = cfg.supply_voltage();
   VS_REQUIRE(converter_r_series.size() == network_.converters().size(),
              "converter resistance vector size mismatch");
 
   // (Re)assemble when the topology epoch or converter resistances changed.
   if (!cache_ || cache_->epoch != network_.topology_epoch() ||
       cache_->r_series != converter_r_series) {
+    VS_SPAN("pdn.dc.assemble");
     la::CooBuilder builder(n);
     la::Vector base_rhs(n, 0.0);
 
-    const FixedRails rails{v_supply};
+    const FixedRails rails{cfg.supply_voltage()};
     for (const auto& group : network_.conductors()) {
       if (group.count == 0) continue;  // fully opened by a fault
       VS_REQUIRE(
@@ -139,10 +183,12 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
   VS_REQUIRE(cache_->epoch == network_.topology_epoch() &&
                  cache_->matrix.size() == n,
              "stale PDN system cache (topology mutated without epoch bump)");
+}
 
+la::Vector PdnModel::load_rhs(const std::vector<LoadInjection>& loads,
+                              PdnSolution& sol) const {
   la::Vector rhs = cache_->base_rhs;
-  PdnSolution sol;
-  sol.supply_voltage = v_supply;
+  sol.supply_voltage = config().supply_voltage();
   sol.floating_island_count = cache_->island_count;
   sol.floating_node_count = cache_->floating_node_count;
   for (const auto& load : loads) {
@@ -153,12 +199,29 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
       sol.floating_load_current += load.current;
     }
   }
+  return rhs;
+}
 
-  // Warm-started CG with the cached preconditioner; a damaged network that
-  // stalls it falls back to dense LU inside the solver handle.
-  sol.node_voltages =
-      (last_solution_.size() == n) ? last_solution_ : la::Vector(n, 0.0);
+PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
+                                 const std::vector<double>& converter_r_series,
+                                 const la::Vector& guess,
+                                 const PdnSolveOptions& options) const {
+  PdnSolution sol;
+  const la::Vector rhs = load_rhs(loads, sol);
+  // CG with the cached preconditioner from `guess` (zero when empty); a
+  // damaged network that stalls it falls back to dense LU inside the
+  // solver handle.
+  sol.node_voltages = guess;
   sol.report = cache_->solver->solve(rhs, sol.node_voltages, options.iterative);
+  finish(loads, converter_r_series, sol);
+  return sol;
+}
+
+void PdnModel::finish(const std::vector<LoadInjection>& loads,
+                      const std::vector<double>& converter_r_series,
+                      PdnSolution& sol) const {
+  const auto& cfg = config();
+  const double v_supply = cfg.supply_voltage();
   if (!sol.report.converged) {
     sol.solve_ok = false;
     sol.diagnostic =
@@ -166,7 +229,7 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
                                     ? std::string("did not converge")
                                     : sol.report.diagnostic);
     last_solution_.clear();
-    return sol;  // metrics stay zeroed; node_voltages are finite
+    return;  // metrics stay zeroed; node_voltages are finite
   }
   sol.solve_ok = true;
   if (sol.floating_load_current > 0.0) {
@@ -275,7 +338,6 @@ PdnSolution PdnModel::solve_once(const std::vector<LoadInjection>& loads,
   }
   sol.resistive_efficiency =
       sol.supply_power > 0.0 ? sol.load_power / sol.supply_power : 0.0;
-  return sol;
 }
 
 }  // namespace vstack::pdn

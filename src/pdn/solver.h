@@ -107,8 +107,9 @@ inline constexpr std::size_t kClosedLoopRefinements = 3;
 ///   model solved before.  The la::Solver keeps no state between solves
 ///   but its workspace, which each solve overwrites.
 /// Inside one call the two behave alike: a closed-loop refinement starts
-/// from the iterate before it, or from zero when its new resistances force
-/// a re-assembly.  A PdnModel is not safe for concurrent use.
+/// from the iterate before it, or from zero when its new resistances
+/// differ from that iterate's (a re-assembled system).  A PdnModel is not
+/// safe for concurrent use.
 class PdnModel {
  public:
   PdnModel(const StackupConfig& config,
@@ -139,15 +140,46 @@ class PdnModel {
   PdnSolution solve_cold(const std::vector<LoadInjection>& loads,
                          const PdnSolveOptions& options = {}) const;
 
+  /// solve_cold() of every load set in turn, with the same bits, reports
+  /// and model state afterwards, and one pdn.dc.solves per set.  The sets'
+  /// first passes share one bind and one lockstep CG run
+  /// (la::Solver::solve over several right-hand sides); a closed-loop
+  /// refinement of a set then starts from that set's own iterate.
+  std::vector<PdnSolution> solve_cold(
+      const std::vector<std::vector<LoadInjection>>& load_sets,
+      const PdnSolveOptions& options = {}) const;
+
   /// Convenience: build loads from per-layer activities and solve.
   PdnSolution solve_activities(const power::CorePowerModel& model,
                                const std::vector<double>& layer_activities,
                                const PdnSolveOptions& options = {}) const;
 
  private:
+  /// Each converter's own series resistance: the open-loop system.
+  std::vector<double> nominal_r_series() const;
+  /// Makes the cached system the one for these converter resistances,
+  /// re-assembling and re-binding (and clearing last_solution_) only when
+  /// the key changed.
+  void bind(const std::vector<double>& converter_r_series) const;
+  /// The bound system's right-hand side for `loads`; fills the solution's
+  /// supply and floating-island fields.
+  la::Vector load_rhs(const std::vector<LoadInjection>& loads,
+                      PdnSolution& sol) const;
+  /// One solve of the bound system from `guess` (zero when empty).
   PdnSolution solve_once(const std::vector<LoadInjection>& loads,
                          const std::vector<double>& converter_r_series,
+                         const la::Vector& guess,
                          const PdnSolveOptions& options) const;
+  /// Everything after the linear solve: the failure diagnostic, or the
+  /// droop maps, noise metric, EM currents and converter currents; keeps
+  /// the solution for the next warm start.
+  void finish(const std::vector<LoadInjection>& loads,
+              const std::vector<double>& converter_r_series,
+              PdnSolution& sol) const;
+  /// Closed-loop fixed-point passes after the first (no-op otherwise).
+  void refine(const std::vector<LoadInjection>& loads,
+              std::vector<double> r_series, PdnSolution& solution,
+              const PdnSolveOptions& options) const;
 
   PdnNetwork network_;
 

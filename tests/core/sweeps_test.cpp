@@ -245,6 +245,107 @@ TEST(SweepParallelTest, Fig6MatchesFreshModelPerPointBitwise) {
   }
 }
 
+void expect_same_rows(const std::vector<Fig5aRow>& got,
+                      const std::vector<Fig5aRow>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].layers, want[i].layers);
+    EXPECT_EQ(bits(got[i].reg_dense), bits(want[i].reg_dense)) << i;
+    EXPECT_EQ(bits(got[i].reg_sparse), bits(want[i].reg_sparse)) << i;
+    EXPECT_EQ(bits(got[i].reg_few), bits(want[i].reg_few)) << i;
+    EXPECT_EQ(bits(got[i].vs_few), bits(want[i].vs_few)) << i;
+  }
+}
+
+void expect_same_rows(const std::vector<Fig5bRow>& got,
+                      const std::vector<Fig5bRow>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].layers, want[i].layers);
+    EXPECT_EQ(bits(got[i].reg_25), bits(want[i].reg_25)) << i;
+    EXPECT_EQ(bits(got[i].reg_50), bits(want[i].reg_50)) << i;
+    EXPECT_EQ(bits(got[i].reg_75), bits(want[i].reg_75)) << i;
+    EXPECT_EQ(bits(got[i].reg_100), bits(want[i].reg_100)) << i;
+    EXPECT_EQ(bits(got[i].vs), bits(want[i].vs)) << i;
+  }
+}
+
+void expect_same_result(const Fig6Result& got, const Fig6Result& want) {
+  EXPECT_EQ(bits(got.reg_dense), bits(want.reg_dense));
+  EXPECT_EQ(bits(got.reg_sparse), bits(want.reg_sparse));
+  EXPECT_EQ(bits(got.reg_few), bits(want.reg_few));
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (std::size_t r = 0; r < got.rows.size(); ++r) {
+    ASSERT_EQ(got.rows[r].vs_noise.size(), want.rows[r].vs_noise.size());
+    for (std::size_t c = 0; c < got.rows[r].vs_noise.size(); ++c) {
+      const auto& g = got.rows[r].vs_noise[c];
+      const auto& w = want.rows[r].vs_noise[c];
+      ASSERT_EQ(g.has_value(), w.has_value()) << r << "," << c;
+      if (w) {
+        EXPECT_EQ(bits(*g), bits(*w)) << r << "," << c;
+      }
+    }
+  }
+}
+
+// One runner shares its plan of solved systems across figures and worker
+// threads: whichever figure (and thread) solves a system first, every cell
+// keeps the bits of a fresh serial runner per figure.
+TEST(SweepParallelTest, SharedPlanParallelMatchesFreshSerialBitwise) {
+  const std::vector<double> imbalances{0.0, 0.5, 1.0};
+  const auto options = [](std::size_t jobs) {
+    return shape({2, 4, 8}, {2, 8}, 8, jobs);
+  };
+  const auto fig5a = SweepRunner(ctx(), options(1)).fig5a();
+  const auto fig5b = SweepRunner(ctx(), options(1)).fig5b();
+  const auto fig6 = SweepRunner(ctx(), options(1)).fig6(imbalances);
+
+  {
+    SCOPED_TRACE("fig5a, fig5b, fig6");
+    const SweepRunner shared(ctx(), options(4));
+    expect_same_rows(shared.fig5a(), fig5a);
+    expect_same_rows(shared.fig5b(), fig5b);
+    expect_same_result(shared.fig6(imbalances), fig6);
+  }
+  {
+    SCOPED_TRACE("fig6, fig5b, fig5a");
+    const SweepRunner shared(ctx(), options(4));
+    expect_same_result(shared.fig6(imbalances), fig6);
+    expect_same_rows(shared.fig5b(), fig5b);
+    expect_same_rows(shared.fig5a(), fig5a);
+  }
+}
+
+// Work ledger of one runner's Figs. 5a, 5b and 6 at a small shape: each
+// distinct fully active system is solved once (8 of Fig. 5a's, 6 more of
+// Fig. 5b's; the baseline and the Fig. 6 references repeat them), plus one
+// solve per Fig. 6 cell on one bind per column, all by CG alone.  Any
+// extra solve, bind or dense-LU fallback changes a number here.
+TEST(SweepLedgerTest, Figs5And6SolveEachSystemOnce) {
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const auto before = telemetry::snapshot();
+    const SweepRunner runner(ctx(), shape({2, 8}, {2, 8}, 8, jobs));
+    ASSERT_EQ(runner.fig5a().size(), 2u);
+    ASSERT_EQ(runner.fig5b().size(), 2u);
+    ASSERT_EQ(runner.fig6({0.0, 0.5, 1.0}).rows.size(), 3u);
+    const auto after = telemetry::snapshot();
+    const auto delta = [&](const char* name) {
+      return after.counter_value(name) - before.counter_value(name);
+    };
+#if VSTACK_TELEMETRY_ENABLED
+    EXPECT_EQ(delta("pdn.dc.solves"), 20.0) << "pdn.dc.solves";
+    EXPECT_EQ(delta("la.solver.binds"), 16.0) << "la.solver.binds";
+    EXPECT_EQ(delta("la.cg.calls"), delta("pdn.dc.solves"))
+        << "la.cg.calls vs pdn.dc.solves";
+    EXPECT_EQ(delta("la.solve.attempts"), delta("la.solve.calls"))
+        << "la.solve.attempts vs la.solve.calls";
+#else
+    EXPECT_EQ(delta("pdn.dc.solves"), 0.0);
+#endif
+  }
+}
+
 // A fired deadline keeps the committed prefix: rows nobody computed must
 // not come back default-constructed (layers = 0, every value 0).
 TEST(SweepDeadlineTest, CancelledSweepsReturnNoRows) {

@@ -295,6 +295,60 @@ TEST(PdnSolverTest, ColdSolveMatchesFreshModelBitwise) {
 #endif
 }
 
+// The batch solve_cold over several load sets must give what solve_cold
+// per set gives on a model with the same history -- every solution's bits,
+// and the state a later warm solve() starts from -- open- and closed-loop.
+TEST(PdnSolverTest, BatchColdSolveMatchesPerSetColdSolvesBitwise) {
+  for (const std::size_t layers : {2u, 8u}) {
+    for (const auto control :
+         {sc::ControlPolicy::OpenLoop, sc::ControlPolicy::ClosedLoop}) {
+      SCOPED_TRACE(std::to_string(layers) + " layers, " +
+                   (control == sc::ControlPolicy::OpenLoop ? "open"
+                                                           : "closed") +
+                   " loop");
+      auto cfg = small_stacked(layers);
+      cfg.converter.control = control;
+      const PdnModel per_set(cfg, paper_fp());
+      const PdnModel batch(cfg, paper_fp());
+      std::vector<std::vector<LoadInjection>> sets;
+      for (const double imbalance : {0.0, 0.5, 0.5, 1.0, 0.25}) {
+        sets.push_back(per_set.network().build_loads(
+            cpm(), power::interleaved_layer_activities(layers, imbalance)));
+      }
+      // Both models first solve other loads, so neither starts fresh.
+      ASSERT_TRUE(per_set.solve(sets[1]).solve_ok);
+      ASSERT_TRUE(batch.solve(sets[1]).solve_ok);
+
+      const auto dc_solves = [] {
+        return telemetry::snapshot().counter_value("pdn.dc.solves");
+      };
+      const double before = dc_solves();
+      const std::vector<PdnSolution> got = batch.solve_cold(sets);
+#if VSTACK_TELEMETRY_ENABLED
+      EXPECT_EQ(dc_solves() - before, static_cast<double>(sets.size()));
+#endif
+      ASSERT_EQ(got.size(), sets.size());
+      for (std::size_t i = 0; i < sets.size(); ++i) {
+        SCOPED_TRACE("set " + std::to_string(i));
+        const PdnSolution want = per_set.solve_cold(sets[i]);
+        expect_same_bits(want, got[i]);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(want.report.residual_norm),
+                  std::bit_cast<std::uint64_t>(got[i].report.residual_norm));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(want.max_ir_drop),
+                  std::bit_cast<std::uint64_t>(got[i].max_ir_drop));
+        EXPECT_EQ(want.converter_limit_ok, got[i].converter_limit_ok);
+        ASSERT_EQ(want.layer_droop.size(), got[i].layer_droop.size());
+        for (std::size_t l = 0; l < want.layer_droop.size(); ++l) {
+          EXPECT_EQ(bits(want.layer_droop[l].values),
+                    bits(got[i].layer_droop[l].values));
+        }
+      }
+      // A warm solve after either path starts from the same iterate.
+      expect_same_bits(per_set.solve(sets[3]), batch.solve(sets[3]));
+    }
+  }
+}
+
 // Parameterized sweep over layer counts: stacked supply current stays one
 // layer's worth regardless of N (the scalability claim).
 class StackScaling : public ::testing::TestWithParam<std::size_t> {};
