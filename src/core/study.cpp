@@ -38,26 +38,47 @@ double StudyContext::regular_area_overhead(const pdn::TsvConfig& tsv) const {
   return tsv.area_overhead(base.params, core_model.area());
 }
 
+SystemSpec SystemSpec::regular(std::size_t layers, const pdn::TsvConfig& tsv,
+                               double power_c4_fraction) {
+  return {.topology = pdn::PdnTopology::Regular3d,
+          .layers = layers,
+          .tsv = tsv,
+          .power_c4_fraction = power_c4_fraction};
+}
+
+SystemSpec SystemSpec::stacked(std::size_t layers, const pdn::TsvConfig& tsv,
+                               std::size_t converters_per_core) {
+  return {.topology = pdn::PdnTopology::VoltageStacked,
+          .layers = layers,
+          .tsv = tsv,
+          .converters_per_core = converters_per_core};
+}
+
+pdn::StackupConfig make_system(const StudyContext& ctx,
+                               const SystemSpec& spec) {
+  pdn::StackupConfig cfg = ctx.base;
+  cfg.topology = spec.topology;
+  cfg.layer_count = spec.layers;
+  cfg.tsv = spec.tsv;
+  if (cfg.is_voltage_stacked()) {
+    cfg.converters_per_core = spec.converters_per_core;
+  } else {
+    cfg.power_c4_fraction = spec.power_c4_fraction;
+  }
+  return cfg;
+}
+
 pdn::StackupConfig make_regular(const StudyContext& ctx, std::size_t layers,
                                 const pdn::TsvConfig& tsv,
                                 double power_c4_fraction) {
-  pdn::StackupConfig cfg = ctx.base;
-  cfg.topology = pdn::PdnTopology::Regular3d;
-  cfg.layer_count = layers;
-  cfg.tsv = tsv;
-  cfg.power_c4_fraction = power_c4_fraction;
-  return cfg;
+  return make_system(ctx, SystemSpec::regular(layers, tsv, power_c4_fraction));
 }
 
 pdn::StackupConfig make_stacked(const StudyContext& ctx, std::size_t layers,
                                 const pdn::TsvConfig& tsv,
                                 std::size_t converters_per_core) {
-  pdn::StackupConfig cfg = ctx.base;
-  cfg.topology = pdn::PdnTopology::VoltageStacked;
-  cfg.layer_count = layers;
-  cfg.tsv = tsv;
-  cfg.converters_per_core = converters_per_core;
-  return cfg;
+  return make_system(ctx,
+                     SystemSpec::stacked(layers, tsv, converters_per_core));
 }
 
 pdn::PdnSolution solve_scenario(const StudyContext& ctx,

@@ -65,6 +65,27 @@ ScenarioResult evaluate_scenario(const StudyContext& ctx,
                                  const pdn::StackupConfig& config,
                                  const std::vector<double>& layer_activities);
 
+/// The arguments of make_regular or make_stacked: a study system is
+/// ctx.base with exactly these fields set (make_system), so equal specs
+/// build equal configs.  The argument the other builder takes stays zero.
+struct SystemSpec {
+  pdn::PdnTopology topology = pdn::PdnTopology::Regular3d;
+  std::size_t layers = 0;
+  pdn::TsvConfig tsv;
+  double power_c4_fraction = 0.0;       // regular systems
+  std::size_t converters_per_core = 0;  // voltage-stacked systems
+
+  static SystemSpec regular(std::size_t layers, const pdn::TsvConfig& tsv,
+                            double power_c4_fraction);
+  static SystemSpec stacked(std::size_t layers, const pdn::TsvConfig& tsv,
+                            std::size_t converters_per_core);
+  bool operator==(const SystemSpec&) const = default;
+};
+
+/// ctx.base with the spec's fields set.
+pdn::StackupConfig make_system(const StudyContext& ctx,
+                               const SystemSpec& spec);
+
 /// Convenience builders for the two topologies, starting from ctx.base.
 pdn::StackupConfig make_regular(const StudyContext& ctx, std::size_t layers,
                                 const pdn::TsvConfig& tsv,

@@ -13,69 +13,51 @@ namespace vstack::core {
 
 namespace {
 
-/// What a figure reads from a plan entry besides the noise metric, which
+/// What a figure reads from a plan system besides the noise metric, which
 /// every solve yields for free.
 enum Reads : unsigned { kTsvLifetime = 1u, kC4Lifetime = 2u };
 
 /// The 2-layer V-S design both Fig. 5 plots normalize to.
-pdn::StackupConfig vs_baseline(const StudyContext& ctx) {
-  return make_stacked(ctx, 2, ctx.base.tsv, ctx.base.converters_per_core);
+SystemSpec vs_baseline(const StudyContext& ctx) {
+  return SystemSpec::stacked(2, ctx.base.tsv, ctx.base.converters_per_core);
 }
 
 /// Fig. 5a's systems at one layer count, in Fig5aRow order.
-std::array<pdn::StackupConfig, 4> fig5a_systems(const StudyContext& ctx,
-                                                std::size_t layers) {
+std::array<SystemSpec, 4> fig5a_systems(const StudyContext& ctx,
+                                        std::size_t layers) {
   const double c4 = ctx.base.power_c4_fraction;
-  return {make_regular(ctx, layers, pdn::TsvConfig::dense(), c4),
-          make_regular(ctx, layers, pdn::TsvConfig::sparse(), c4),
-          make_regular(ctx, layers, pdn::TsvConfig::few(), c4),
-          make_stacked(ctx, layers, pdn::TsvConfig::few(),
-                       ctx.base.converters_per_core)};
+  return {SystemSpec::regular(layers, pdn::TsvConfig::dense(), c4),
+          SystemSpec::regular(layers, pdn::TsvConfig::sparse(), c4),
+          SystemSpec::regular(layers, pdn::TsvConfig::few(), c4),
+          SystemSpec::stacked(layers, pdn::TsvConfig::few(),
+                              ctx.base.converters_per_core)};
 }
 
 /// Fig. 5b's systems at one layer count, in Fig5bRow order.
-std::array<pdn::StackupConfig, 5> fig5b_systems(const StudyContext& ctx,
-                                                std::size_t layers) {
-  return {make_regular(ctx, layers, ctx.base.tsv, 0.25),
-          make_regular(ctx, layers, ctx.base.tsv, 0.50),
-          make_regular(ctx, layers, ctx.base.tsv, 0.75),
-          make_regular(ctx, layers, ctx.base.tsv, 1.00),
-          make_stacked(ctx, layers, ctx.base.tsv,
-                       ctx.base.converters_per_core)};
+std::array<SystemSpec, 5> fig5b_systems(const StudyContext& ctx,
+                                        std::size_t layers) {
+  return {SystemSpec::regular(layers, ctx.base.tsv, 0.25),
+          SystemSpec::regular(layers, ctx.base.tsv, 0.50),
+          SystemSpec::regular(layers, ctx.base.tsv, 0.75),
+          SystemSpec::regular(layers, ctx.base.tsv, 1.00),
+          SystemSpec::stacked(layers, ctx.base.tsv,
+                              ctx.base.converters_per_core)};
 }
 
 /// Fig. 6's regular-PDN references: Dense, Sparse, Few.
-std::array<pdn::StackupConfig, 3> fig6_references(const StudyContext& ctx,
-                                                  std::size_t layers) {
+std::array<SystemSpec, 3> fig6_references(const StudyContext& ctx,
+                                          std::size_t layers) {
   const double c4 = ctx.base.power_c4_fraction;
-  return {make_regular(ctx, layers, pdn::TsvConfig::dense(), c4),
-          make_regular(ctx, layers, pdn::TsvConfig::sparse(), c4),
-          make_regular(ctx, layers, pdn::TsvConfig::few(), c4)};
+  return {SystemSpec::regular(layers, pdn::TsvConfig::dense(), c4),
+          SystemSpec::regular(layers, pdn::TsvConfig::sparse(), c4),
+          SystemSpec::regular(layers, pdn::TsvConfig::few(), c4)};
 }
-
-/// A fully active system, by the fields make_regular and make_stacked set
-/// on ctx.base.  Every plan system comes from one of the two, so equal keys
-/// are equal systems.
-struct SystemKey {
-  pdn::PdnTopology topology = pdn::PdnTopology::Regular3d;
-  std::size_t layers = 0;
-  pdn::TsvConfig tsv;
-  double power_c4_fraction = 0.0;
-  std::size_t converters_per_core = 0;
-
-  explicit SystemKey(const pdn::StackupConfig& c)
-      : topology(c.topology), layers(c.layer_count), tsv(c.tsv),
-        power_c4_fraction(c.power_c4_fraction),
-        converters_per_core(c.converters_per_core) {}
-  bool operator==(const SystemKey&) const = default;
-};
 
 }  // namespace
 
 /// The distinct fully active systems Figs. 5a, 5b and 6 read, fixed when
-/// the runner is built, each solved at most once per runner.  An entry
-/// keeps scalars only -- the lifetimes some figure reads and the noise
-/// metric -- never a solution's current arrays.
+/// the runner is built.  An entry keeps scalars only -- the noise metric
+/// and the lifetimes computed so far -- never a solution's current arrays.
 struct SweepRunner::Plan {
   struct Values {
     double tsv_mttf = 0.0;
@@ -83,50 +65,56 @@ struct SweepRunner::Plan {
     double noise = 0.0;  // max node deviation / vdd
   };
   struct Entry {
-    Entry(const SystemKey& k, unsigned r) : key(k), reads(r) {}
-    SystemKey key;
-    unsigned reads = 0;
+    Entry(const SystemSpec& s, bool c4) : spec(s), c4_read(c4) {}
+    SystemSpec spec;
+    bool c4_read = false;  // some figure reads the C4 lifetime
     enum class State { Unsolved, Solving, Solved } state = State::Unsolved;
+    unsigned computed = 0;  // the Reads bits `values` holds
     Values values;
   };
 
-  void add(const pdn::StackupConfig& config, unsigned reads) {
-    const SystemKey key(config);
+  void add(const SystemSpec& spec, bool c4_read) {
     for (Entry& e : entries) {
-      if (e.key == key) {
-        e.reads |= reads;
+      if (e.spec == spec) {
+        e.c4_read = e.c4_read || c4_read;
         return;
       }
     }
-    entries.emplace_back(key, reads);
+    entries.emplace_back(spec, c4_read);
   }
 
-  /// The values of `config`'s system, solving it on the first request.  The
-  /// solve runs outside the lock; a concurrent request for the same system
-  /// waits for it, so every system is solved once at any job count.
-  Values values(const StudyContext& ctx, const pdn::StackupConfig& config) {
-    const SystemKey key(config);
+  /// The values of `spec`'s system with at least the lifetimes in `reads`,
+  /// solving it when no earlier solve computed them.  A solve computes
+  /// `reads` plus the C4 lifetime wherever some figure reads it.  It runs
+  /// outside the lock; a concurrent request for the same system waits for
+  /// it, so the work counts of a figure do not depend on the job count.
+  Values values(const StudyContext& ctx, const SystemSpec& spec,
+                unsigned reads) {
     Entry* entry = nullptr;
     for (Entry& e : entries) {
-      if (e.key == key) entry = &e;
+      if (e.spec == spec) entry = &e;
     }
     VS_REQUIRE(entry != nullptr, "sweep system missing from the plan");
     {
       std::unique_lock lock(mutex);
       solved.wait(lock, [&] { return entry->state != Entry::State::Solving; });
-      if (entry->state == Entry::State::Solved) return entry->values;
+      if (entry->state == Entry::State::Solved &&
+          (entry->computed & reads) == reads) {
+        return entry->values;
+      }
       entry->state = Entry::State::Solving;
     }
+    const unsigned computed = reads | (entry->c4_read ? kC4Lifetime : 0u);
     Values v;
     try {
       const pdn::PdnSolution sol = solve_scenario(
-          ctx, config, std::vector<double>(config.layer_count, 1.0));
+          ctx, make_system(ctx, spec), std::vector<double>(spec.layers, 1.0));
       v.noise = sol.max_node_deviation_fraction;
-      if ((entry->reads & kTsvLifetime) != 0u) {
+      if ((computed & kTsvLifetime) != 0u) {
         v.tsv_mttf =
             em::array_mttf(sol.tsv_currents, ctx.black, ctx.mttf_options);
       }
-      if ((entry->reads & kC4Lifetime) != 0u) {
+      if ((computed & kC4Lifetime) != 0u) {
         v.c4_mttf =
             em::array_mttf(sol.c4_pad_currents, ctx.black, ctx.mttf_options);
       }
@@ -134,6 +122,7 @@ struct SweepRunner::Plan {
       {
         const std::lock_guard lock(mutex);
         entry->state = Entry::State::Unsolved;
+        entry->computed = 0;
       }
       solved.notify_all();
       throw;
@@ -141,6 +130,7 @@ struct SweepRunner::Plan {
     {
       const std::lock_guard lock(mutex);
       entry->values = v;
+      entry->computed = computed;
       entry->state = Entry::State::Solved;
     }
     solved.notify_all();
@@ -160,17 +150,17 @@ SweepRunner::SweepRunner(const StudyContext& ctx, SweepOptions options)
   VS_REQUIRE(!options_.converter_counts.empty(),
              "SweepOptions.converter_counts must not be empty");
   plan_->entries.reserve(1 + 9 * options_.layer_counts.size() + 3);
-  plan_->add(vs_baseline(ctx_), kTsvLifetime | kC4Lifetime);
+  plan_->add(vs_baseline(ctx_), true);
   for (const std::size_t layers : options_.layer_counts) {
-    for (const auto& config : fig5a_systems(ctx_, layers)) {
-      plan_->add(config, kTsvLifetime);
+    for (const auto& spec : fig5a_systems(ctx_, layers)) {
+      plan_->add(spec, false);
     }
-    for (const auto& config : fig5b_systems(ctx_, layers)) {
-      plan_->add(config, kC4Lifetime);
+    for (const auto& spec : fig5b_systems(ctx_, layers)) {
+      plan_->add(spec, true);
     }
   }
-  for (const auto& config : fig6_references(ctx_, options_.layers)) {
-    plan_->add(config, 0u);
+  for (const auto& spec : fig6_references(ctx_, options_.layers)) {
+    plan_->add(spec, false);
   }
 }
 
@@ -181,7 +171,8 @@ std::vector<Fig5aRow> SweepRunner::fig5a() const {
   const ExecutionPolicy& execution = options_.execution;
   const std::vector<std::size_t>& layer_counts = options_.layer_counts;
   if (execution.deadline.expired()) return {};  // before the baseline solve
-  const double baseline = plan_->values(ctx_, vs_baseline(ctx_)).tsv_mttf;
+  const double baseline =
+      plan_->values(ctx_, vs_baseline(ctx_), kTsvLifetime).tsv_mttf;
   VS_REQUIRE(baseline > 0.0, "baseline TSV MTTF must be positive");
 
   // One row per layer count; rows fan out on the pool and land in sweep
@@ -193,7 +184,8 @@ std::vector<Fig5aRow> SweepRunner::fig5a() const {
       [&](std::size_t r) {
         const auto systems = fig5a_systems(ctx_, layer_counts[r]);
         const auto normalized = [&](std::size_t k) {
-          return plan_->values(ctx_, systems[k]).tsv_mttf / baseline;
+          return plan_->values(ctx_, systems[k], kTsvLifetime).tsv_mttf /
+                 baseline;
         };
         Fig5aRow row;
         row.layers = layer_counts[r];
@@ -213,7 +205,8 @@ std::vector<Fig5bRow> SweepRunner::fig5b() const {
   const ExecutionPolicy& execution = options_.execution;
   const std::vector<std::size_t>& layer_counts = options_.layer_counts;
   if (execution.deadline.expired()) return {};  // before the baseline solve
-  const double baseline = plan_->values(ctx_, vs_baseline(ctx_)).c4_mttf;
+  const double baseline =
+      plan_->values(ctx_, vs_baseline(ctx_), kC4Lifetime).c4_mttf;
   VS_REQUIRE(baseline > 0.0, "baseline C4 MTTF must be positive");
 
   std::vector<Fig5bRow> rows(layer_counts.size());
@@ -223,7 +216,8 @@ std::vector<Fig5bRow> SweepRunner::fig5b() const {
       [&](std::size_t r) {
         const auto systems = fig5b_systems(ctx_, layer_counts[r]);
         const auto normalized = [&](std::size_t k) {
-          return plan_->values(ctx_, systems[k]).c4_mttf / baseline;
+          return plan_->values(ctx_, systems[k], kC4Lifetime).c4_mttf /
+                 baseline;
         };
         Fig5bRow row;
         row.layers = layer_counts[r];
@@ -266,7 +260,7 @@ Fig6Result SweepRunner::fig6(const std::vector<double>& imbalances) const {
       tasks,
       [&](std::size_t t) {
         if (t < references.size()) {
-          *reference_noise[t] = plan_->values(ctx, references[t]).noise;
+          *reference_noise[t] = plan_->values(ctx, references[t], 0u).noise;
           return;
         }
         const std::size_t c = t - references.size();

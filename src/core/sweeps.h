@@ -17,10 +17,19 @@
 // Fig. 5a's `vs_few` and `reg_few`, the 2-layer baseline is the 2-layer
 // `vs_few`, and Fig. 6's references are Fig. 5a's regular rows at
 // options().layers.  The runner therefore plans, from its options, the
-// distinct systems and what some figure reads from each (the TSV lifetime,
-// the C4 lifetime, the noise metric), and solves each one at most once,
-// when a figure first reads it, keeping only those scalars.  Each system's
-// numbers are a fresh model's, so which figure solves it changes no bit.
+// distinct systems (core::SystemSpec), and solves each one when a figure
+// first reads it, keeping only scalars: the noise metric, which every
+// solve yields, and the lifetimes the solving figure reads.  The solve
+// also computes the C4 lifetime wherever the plan has a figure reading it
+// (a C4 array has at most about a thousand pads: a few percent of a
+// solve), so Fig. 5b reads the systems Fig. 5a solved.  A TSV array can
+// hold 744,800 conductors, and its lifetime costs a quarter to a half of
+// a solve, so only Fig. 5a, its one reader, computes TSV lifetimes, and
+// it solves again a system an earlier figure solved without one.  Called
+// in the order 5a, 5b, 6, a runner solves each distinct system once; a
+// runner serving one figure computes no TSV lifetime that figure does not
+// read.  Each system's numbers are a fresh model's, so which figure
+// solves it changes no bit.
 #pragma once
 
 #include <memory>

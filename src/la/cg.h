@@ -96,21 +96,26 @@ SolveReport conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
                                const IterativeOptions& options,
                                const KrylovContext& ctx);
 
-/// Lockstep CG: solves A x[i] = b[i] for every i and returns report i of
-/// each, with the bits, iterations and report conjugate_gradient() gives
-/// on the reference backend.  The right-hand sides run in groups of at
-/// most kBlockWidth, stored row-interleaved: one SpMV, one preconditioner
-/// apply and one pass of each vector update serve the whole group, while
-/// each right-hand side keeps its own scalars and reductions, summed in
-/// the single-vector order.  A right-hand side leaves its group when it
-/// converges or fails; the rest go on at the narrower width.  The kernels
-/// are the reference backend's arithmetic, so ctx.backend must be null or
-/// the reference backend.
-std::vector<SolveReport> conjugate_gradient(const CsrMatrix& a,
-                                            std::span<const Vector> b,
-                                            std::span<Vector> x,
-                                            const Preconditioner& precond,
-                                            const IterativeOptions& options,
-                                            const KrylovContext& ctx);
+namespace detail {
+
+/// la::Solver's batch path (docs/linear_algebra.md section 4): CG of
+/// A x[i] = b[i] for every i on the reference backend's arithmetic,
+/// `prepared` being that backend's form of `a`, returning report i of
+/// each with the bits, iterations and report conjugate_gradient() gives.
+/// The right-hand sides run in groups of at most kBlockWidth, stored
+/// row-interleaved: one SpMV, one preconditioner apply and one pass of
+/// each vector update serve the whole group, while each right-hand side
+/// keeps its own scalars and reductions, summed in the single-vector
+/// order.  A right-hand side leaves its group when it converges or
+/// fails; the rest go on at the narrower width.  The caller has checked
+/// every b[i] and sized every x[i] (the initial guess) to a.size().
+std::vector<SolveReport> lockstep_cg(const CsrMatrix& a,
+                                     const BackendMatrix& prepared,
+                                     const Preconditioner& precond,
+                                     std::span<const Vector> b,
+                                     std::span<Vector> x,
+                                     const IterativeOptions& options);
+
+}  // namespace detail
 
 }  // namespace vstack::la

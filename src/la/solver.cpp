@@ -152,9 +152,8 @@ std::vector<SolveReport> Solver::solve(std::span<const Vector> b,
   for (std::size_t i = 0; i < b.size(); ++i) {
     x0.push_back(begin_solve(b[i], x[i]));
   }
-  const std::vector<SolveReport> cg =
-      conjugate_gradient(*a_, b, x, *precond_, cg_options(iterative),
-                         {backend_, prepared_.get(), &workspace_});
+  const std::vector<SolveReport> cg = detail::lockstep_cg(
+      *a_, *prepared_, *precond_, b, x, cg_options(iterative));
   for (std::size_t i = 0; i < b.size(); ++i) {
     reports.push_back(finish_solve(b[i], x[i], x0[i], cg[i], iterative));
   }

@@ -346,6 +346,52 @@ TEST(SweepLedgerTest, Figs5And6SolveEachSystemOnce) {
   }
 }
 
+// Only Fig. 5a reads TSV lifetimes, and only a solve by Fig. 5a computes
+// one: a runner serving Fig. 5b or Fig. 6 pays for no TSV array.  The
+// solve counts show it.  After Fig. 5b (10 systems: the baseline is its
+// 2-layer `vs`), Fig. 5a solves its 4 new systems and again the 4 that
+// Fig. 5b solved without a TSV lifetime (the baseline, reg_few at 2 and 8
+// layers, vs_few at 8): 8 solves, where eager TSV lifetimes would leave
+// 4.  After Fig. 6 (3 references and 6 cells), Fig. 5a solves 8, its
+// references again, where eager lifetimes would leave 5.
+TEST(SweepLedgerTest, OnlyFig5aComputesTsvLifetimes) {
+  const auto solves = [] {
+    return telemetry::snapshot().counter_value("pdn.dc.solves");
+  };
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const auto options = shape({2, 8}, {2, 8}, 8, jobs);
+    {
+      const SweepRunner runner(ctx(), options);
+      const double s0 = solves();
+      ASSERT_EQ(runner.fig5b().size(), 2u);
+      const double s1 = solves();
+      ASSERT_EQ(runner.fig5a().size(), 2u);
+      const double s2 = solves();
+#if VSTACK_TELEMETRY_ENABLED
+      EXPECT_EQ(s1 - s0, 10.0) << "pdn.dc.solves of fig5b";
+      EXPECT_EQ(s2 - s1, 8.0) << "pdn.dc.solves of fig5a after fig5b";
+#else
+      EXPECT_EQ(s2 - s0, 0.0);
+#endif
+    }
+    {
+      const SweepRunner runner(ctx(), options);
+      const double s0 = solves();
+      ASSERT_EQ(runner.fig6({0.0, 0.5, 1.0}).rows.size(), 3u);
+      const double s1 = solves();
+      ASSERT_EQ(runner.fig5a().size(), 2u);
+      const double s2 = solves();
+#if VSTACK_TELEMETRY_ENABLED
+      EXPECT_EQ(s1 - s0, 9.0) << "pdn.dc.solves of fig6";
+      EXPECT_EQ(s2 - s1, 8.0) << "pdn.dc.solves of fig5a after fig6";
+#else
+      EXPECT_EQ(s2 - s0, 0.0);
+#endif
+    }
+  }
+}
+
 // A fired deadline keeps the committed prefix: rows nobody computed must
 // not come back default-constructed (layers = 0, every value 0).
 TEST(SweepDeadlineTest, CancelledSweepsReturnNoRows) {
